@@ -1,9 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_*`` module regenerates one table or figure of the paper: it
-runs the experiment (at CPU-friendly sweep sizes), prints the same series
-the paper plots, writes a CSV under ``artifacts/results/`` and feeds the
-timed portion to pytest-benchmark.
+The pytest-based ``bench_*`` modules regenerate tables and figures of the
+paper at CPU-friendly sizes, print what the paper reports, and write CSVs
+under ``artifacts/results/``.
 
 Trained models come from the weight cache (``repro.experiments.common``);
 the first run trains them (~15 minutes for all nine zoo models), later
@@ -16,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ascii_plot, write_csv
 from repro.data import Dataset
 from repro.experiments.common import (get_imagenet, get_mnist, trained_lenet)
 
@@ -46,28 +44,3 @@ def imagenet_test() -> Dataset:
     _, test = get_imagenet()
     return test
 
-
-def print_sweep_series(title: str, results: dict, x_label: str,
-                       results_dir: Path, csv_name: str,
-                       baseline: float | None = None) -> None:
-    """Print the figure's series (paper-style) and persist them as CSV."""
-    print(f"\n=== {title} ===")
-    if baseline is not None:
-        print(f"fault-free baseline accuracy: {100 * baseline:.2f}%")
-    rows = []
-    series = {}
-    for label, result in results.items():
-        xs = result.xs
-        means = result.mean()
-        stds = result.std()
-        series[label] = (xs, [100 * m for m in means])
-        print(f"  {label}:")
-        for x, mean, std in zip(xs, means, stds):
-            print(f"    {x_label}={x:g}: accuracy {100 * mean:5.1f}% "
-                  f"(± {100 * std:.1f})")
-            rows.append((label, x, 100 * mean, 100 * std))
-    print(ascii_plot(series, title=title, x_label=x_label,
-                     y_label="accuracy %", y_range=(0.0, 100.0)))
-    write_csv(results_dir / csv_name,
-              ["series", x_label, "accuracy_pct", "std_pct"], rows)
-    print(f"[csv] {results_dir / csv_name}")

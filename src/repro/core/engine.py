@@ -74,11 +74,13 @@ Executors
     ``run`` calls of one campaign, and unlinked on failure, on
     :meth:`FaultCampaign.close`, or at interpreter exit.
 
-Both pool executors *stream* results back (``imap_unordered``) through
-:meth:`run_iter`, so callers can journal/report progress as cells finish,
-and both preserve the caller's warm layer caches: the model's transient
-state is stripped only for the duration of worker start-up and restored
-afterwards.
+Both pool executors run on a :class:`~repro.core.workerpool.WorkerPool`
+(a ``concurrent.futures.ProcessPoolExecutor``) under a
+:class:`~repro.core.resilience.PoolSupervisor` and *stream* results back
+through :meth:`run_iter` as their futures complete, so callers can
+journal/report progress as cells finish, and both preserve the caller's
+warm layer caches: the model's transient state is stripped only for the
+duration of worker start-up and restored afterwards.
 
 Batch-level parallelism
 -----------------------
@@ -1077,11 +1079,9 @@ class MultiprocessingExecutor:
                 self.payload_bytes = _payload_nbytes(payload)
 
             def pool_factory(payload=payload, initializer=initializer):
-                import multiprocessing
+                from .workerpool import WorkerPool
                 with _transient_state_stashed(evaluator.model):
-                    return multiprocessing.Pool(self.n_jobs,
-                                                initializer=initializer,
-                                                initargs=(payload,))
+                    return WorkerPool(self.n_jobs, initializer, (payload,))
 
             window = (self.n_jobs
                       if self.policy is not None

@@ -18,15 +18,16 @@ Three cooperating pieces:
     keeps failing.  ``policy=None`` everywhere means the legacy
     semantics: one attempt, first failure raises.
 :class:`PoolSupervisor`
-    Wraps one ``multiprocessing.Pool`` rung: dispatches tasks with
-    ``apply_async`` under a bounded window, re-schedules failed tasks
-    with backoff, detects lost workers (a SIGKILLed process is respawned
-    by the pool but its in-flight task is silently gone forever) via
-    worker-pid churn and a no-results stall watchdog, rebuilds the pool
-    and re-dispatches only the in-flight tasks, and quarantines poison
-    tasks after ``max_attempts`` failures instead of aborting the grid.
-    Shutdown is graceful on success (``close``/``join``); ``terminate``
-    is reserved for the error/abandon path.
+    Runs one rung on a :class:`~repro.core.workerpool.WorkerPool` (a
+    ``concurrent.futures.ProcessPoolExecutor``): submits tasks under a
+    bounded window and waits on their futures with a deadline,
+    re-schedules failed tasks with backoff, and quarantines poison tasks
+    after ``max_attempts`` failures instead of aborting the grid.  A
+    lost worker surfaces as ``BrokenProcessPool``; it, an expired job
+    deadline, and a stall all kill the pool's workers, build a new pool,
+    and re-dispatch only the in-flight tasks.  Shutdown is graceful on
+    success (``shutdown``); ``kill_workers`` is reserved for the
+    error/abandon path.
 :func:`supervised_serial`
     The same retry/quarantine contract for in-process execution — the
     bottom rung of the degradation ladder and the serial executor.
@@ -47,7 +48,10 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "RetryPolicy",
@@ -78,14 +82,16 @@ class RetryPolicy:
         a pure function of the attempt number, so schedules are
         reproducible.
     job_timeout:
-        Optional wall-clock budget (seconds) per dispatched job.  A pool
-        cannot cancel a running task, so an expired job triggers a pool
-        rebuild; the expired job is charged one failed attempt, the
-        other in-flight jobs are re-dispatched unharmed.
+        Optional wall-clock budget (seconds) per dispatched job.  A
+        running task cannot be cancelled, so an expired job kills the
+        pool's workers and rebuilds the pool; the expired job is charged
+        one failed attempt, the other in-flight jobs are re-dispatched
+        unharmed.
     stall_timeout:
-        Watchdog: with jobs in flight but no result (and no observed
-        worker death) for this long, the pool is presumed wedged and
-        rebuilt.
+        Watchdog: with jobs in flight but no result (and no
+        ``BrokenProcessPool``) for this long, the workers are presumed
+        wedged; they are killed and the pool rebuilt, as for a lost
+        worker.
     max_rebuilds:
         Unattributed pool rebuilds (worker loss, stall) tolerated per
         rung before the supervisor gives up — the signal for the
@@ -288,19 +294,16 @@ def supervised_serial(tasks: Sequence[Any], call: Callable[[Any], Any],
 
 # -- pool supervision ------------------------------------------------------
 
-#: liveness/stall poll cadence (seconds) while waiting on results
-_POLL_INTERVAL = 0.2
-
-
 class PoolSupervisor:
     """Fault-tolerant dispatch of one task list onto one process pool.
 
     Parameters
     ----------
     pool_factory:
-        Zero-argument callable returning a fresh, initialized
-        ``multiprocessing.Pool`` — also used for rebuilds after worker
-        loss (the factory re-runs the worker initializer).
+        Zero-argument callable returning a fresh
+        :class:`~repro.core.workerpool.WorkerPool` (or anything with its
+        ``submit``/``shutdown``/``kill_workers`` surface) — also used
+        for rebuilds, which re-run the worker initializer.
     func:
         Picklable module-level function applied to each task in a
         worker.
@@ -309,7 +312,7 @@ class PoolSupervisor:
         index.
     policy:
         :class:`RetryPolicy`, or ``None`` for legacy semantics (single
-        attempt, first failure raises, no liveness monitoring).
+        attempt, first failure — a lost worker included — raises).
     key:
         ``key(task) -> (point, repeat)`` grid coordinates for event
         reporting.
@@ -320,6 +323,11 @@ class PoolSupervisor:
         Maximum tasks in flight at once (defaults to the pool size
         passed by the executor); a bounded window keeps dispatch close
         to start so ``job_timeout`` deadlines measure actual work.
+
+    A lost worker (a future failing with ``BrokenProcessPool``), an
+    expired job deadline, and a stall share one recovery path: kill the
+    pool's workers, build a new pool, and requeue the in-flight tasks at
+    unchanged attempt counts (an expired job is charged one attempt).
 
     :meth:`run` is a generator yielding ``(task, ("ok", value))`` /
     ``(task, ("quarantined", error_repr))`` as results arrive
@@ -351,46 +359,25 @@ class PoolSupervisor:
         if self._on_event is not None:
             self._on_event(record)
 
-    @staticmethod
-    def _pool_pids(pool: Any) -> set[int | None]:
-        processes = getattr(pool, "_pool", None)
-        if not processes:
-            return set()
-        return {process.pid for process in processes}
-
-    @staticmethod
-    def _workers_churned(pool: Any, pids: set[int | None]) -> bool:
-        """Whether the pool replaced (or holds dead) worker processes —
-        the observable trace of a killed worker, whose in-flight task is
-        gone for good (the pool respawns processes, not tasks)."""
-        processes = getattr(pool, "_pool", None)
-        if processes is None:  # unexpected pool implementation: no signal
-            return False
-        current = {process.pid for process in processes}
-        if current != pids:
-            return True
-        return any(not process.is_alive() for process in processes)
-
     def run(self) -> Iterator[tuple[Any, tuple[str, Any]]]:
-        import queue as queue_mod
+        # imported here, not at module level: serial campaigns never pay
+        # for importing concurrent.futures.process and multiprocessing
+        from concurrent import futures
+        from concurrent.futures.process import BrokenProcessPool
 
         policy = self.policy
-        results: queue_mod.SimpleQueue[tuple[int, bool, Any]] = \
-            queue_mod.SimpleQueue()
         todo: deque[tuple[int, int]] = \
             deque((index, 1) for index in range(len(self._tasks)))
         retries: list[tuple[float, int, int, int]] = \
             []                   # heap of (due, tiebreak, task_index, attempt)
-        pending: dict[int, tuple[int, int, float | None]] = \
-            {}                   # dispatch token -> (task_index, attempt, deadline)
-        tokens = itertools.count()
+        pending: dict[Future[Any], tuple[int, int, float | None]] = \
+            {}                   # future -> (task_index, attempt, deadline)
         tiebreak = itertools.count()
         rebuilds = 0
         pool = None
         completed = False
         try:
             pool = self._pool_factory()
-            pids = self._pool_pids(pool)
             last_progress = time.monotonic()
             while self._unfinished:
                 now = time.monotonic()
@@ -399,83 +386,103 @@ class PoolSupervisor:
                     todo.append((index, attempt))
                 while todo and len(pending) < self._window:
                     index, attempt = todo.popleft()
-                    token = next(tokens)
+                    try:
+                        future = pool.submit(self._func, self._tasks[index])
+                    except BrokenProcessPool as error:  # broke since last wait
+                        future = futures.Future()
+                        future.set_exception(error)
                     deadline = (now + policy.job_timeout
                                 if policy is not None
                                 and policy.job_timeout is not None else None)
-                    pending[token] = (index, attempt, deadline)
-                    pool.apply_async(
-                        self._func, (self._tasks[index],),
-                        callback=lambda value, token=token:
-                            results.put((token, True, value)),
-                        error_callback=lambda error, token=token:
-                            results.put((token, False, error)))
-                try:
-                    token, ok, value = results.get(
-                        timeout=self._wait_timeout(pending, retries,
-                                                   last_progress))
-                except queue_mod.Empty:
-                    if policy is None:
-                        continue
-                    (pool, pids, rebuilds, last_progress,
-                     terminal) = self._health_check(
-                        pool, pids, pending, todo, retries, rebuilds,
-                        last_progress)
-                    for index, outcome in terminal:
-                        self._unfinished.discard(index)
-                        yield self._tasks[index], outcome
+                    pending[future] = (index, attempt, deadline)
+                if not pending:  # only backed-off retries remain
+                    time.sleep(max(0.0, retries[0][0] - now))
                     continue
-                entry = pending.pop(token, None)
-                if entry is None:
-                    continue  # straggler from before a rebuild: ignore
-                index, attempt, _ = entry
-                last_progress = time.monotonic()
-                if ok:
-                    self._unfinished.discard(index)
-                    yield self._tasks[index], ("ok", value)
-                elif policy is None:
-                    raise value
-                else:
-                    outcome = self._attempt_failed(index, attempt, value,
-                                                   retries, tiebreak,
-                                                   cause="error")
-                    if outcome is not None:
+                done, _ = futures.wait(
+                    pending, return_when=futures.FIRST_COMPLETED,
+                    timeout=self._wait_timeout(pending, retries,
+                                               last_progress))
+                now = time.monotonic()
+                lost = False
+                for future in done:
+                    error = future.exception()
+                    if policy is not None and isinstance(error,
+                                                         BrokenProcessPool):
+                        lost = True  # stays in flight: the rebuild requeues
+                        continue
+                    index, attempt, _ = pending.pop(future)
+                    last_progress = now
+                    if error is None:
                         self._unfinished.discard(index)
-                        yield self._tasks[index], outcome
-                if policy is not None and self._workers_churned(pool, pids):
-                    pool, pids, rebuilds = self._worker_loss(
+                        yield self._tasks[index], ("ok", future.result())
+                    elif policy is None:
+                        raise error
+                    else:
+                        outcome = self._attempt_failed(
+                            index, attempt, error, retries, tiebreak,
+                            cause="error")
+                        if outcome is not None:
+                            self._unfinished.discard(index)
+                            yield self._tasks[index], outcome
+                if policy is None:
+                    continue
+                expired = [future for future, (_, _, deadline)
+                           in pending.items()
+                           if deadline is not None and deadline <= now]
+                if lost:
+                    pool, rebuilds = self._worker_loss(
                         pool, pending, todo, rebuilds,
                         "worker process died mid-run")
-                    last_progress = time.monotonic()
+                elif expired:
+                    # a running task cannot be cancelled: charge the
+                    # expired job(s) one attempt, rebuild for the rest
+                    for future in expired:
+                        index, attempt, _ = pending.pop(future)
+                        outcome = self._attempt_failed(
+                            index, attempt,
+                            TimeoutError(f"job exceeded its "
+                                         f"{policy.job_timeout:g}s "
+                                         "wall-clock budget"),
+                            retries, tiebreak, cause="timeout")
+                        if outcome is not None:
+                            self._unfinished.discard(index)
+                            yield self._tasks[index], outcome
+                    pool = self._rebuild(pool, pending, todo,
+                                         f"{len(expired)} job(s) timed out")
+                elif pending and now - last_progress >= policy.stall_timeout:
+                    pool, rebuilds = self._worker_loss(
+                        pool, pending, todo, rebuilds,
+                        f"no results for {policy.stall_timeout:g}s with "
+                        f"{len(pending)} job(s) in flight")
+                else:
+                    continue
+                last_progress = time.monotonic()
             completed = True
         finally:
             if pool is not None:
                 # success drains gracefully; errors and an abandoned
                 # consumer (GeneratorExit) must not wait on stragglers
                 if completed:
-                    pool.close()
+                    pool.shutdown()
                 else:
-                    pool.terminate()
-                pool.join()
+                    pool.kill_workers()
 
-    def _wait_timeout(self, pending: dict[int, tuple[int, int, float | None]],
+    def _wait_timeout(self, pending: dict[Future[Any],
+                                          tuple[int, int, float | None]],
                       retries: list[tuple[float, int, int, int]],
                       last_progress: float) -> float | None:
-        """How long to block on the result queue before a health check.
-        ``None`` (block forever) only under legacy ``policy=None``."""
+        """How long to wait for a result: until the next job deadline,
+        retry due time, or stall deadline.  ``None`` (until a future
+        settles) only under legacy ``policy=None``."""
         policy = self.policy
         if policy is None:
             return None
-        now = time.monotonic()
-        wait = _POLL_INTERVAL
+        due = [deadline for _, _, deadline in pending.values()
+               if deadline is not None]
         if retries:
-            wait = min(wait, retries[0][0] - now)
-        for _, _, deadline in pending.values():
-            if deadline is not None:
-                wait = min(wait, deadline - now)
-        if pending:
-            wait = min(wait, last_progress + policy.stall_timeout - now)
-        return max(0.0, wait)
+            due.append(retries[0][0])
+        due.append(last_progress + policy.stall_timeout)
+        return max(0.0, min(due) - time.monotonic())
 
     def _attempt_failed(self, index: int, attempt: int, error: object,
                         retries: list[tuple[float, int, int, int]],
@@ -497,85 +504,30 @@ class PoolSupervisor:
                                  index, attempt + 1))
         return None
 
-    def _health_check(self, pool: Any, pids: set[int | None],
-                      pending: dict[int, tuple[int, int, float | None]],
-                      todo: deque[tuple[int, int]],
-                      retries: list[tuple[float, int, int, int]],
-                      rebuilds: int, last_progress: float
-                      ) -> tuple[Any, set[int | None], int, float,
-                                 list[tuple[int, tuple[str, Any]]]]:
-        """Timeout / worker-loss / stall handling on a quiet poll.
-
-        Returns the (possibly rebuilt) pool state plus a list of
-        ``(task_index, terminal_outcome)`` pairs for jobs quarantined by
-        an expired wall-clock budget — :meth:`run` yields those.
-        """
-        policy = self.policy
-        assert policy is not None  # run() only health-checks under a policy
-        now = time.monotonic()
-        terminal: list[tuple[int, tuple[str, Any]]] = []
-        expired = [token for token, (_, _, deadline) in pending.items()
-                   if deadline is not None and deadline <= now]
-        if expired:
-            # a pool cannot cancel a running task: rebuild, charging the
-            # expired job(s) one attempt and re-dispatching the rest
-            tiebreak = itertools.count(len(retries))
-            for token in expired:
-                index, attempt, _ = pending.pop(token)
-                budget = policy.job_timeout
-                outcome = self._attempt_failed(
-                    index, attempt,
-                    TimeoutError(f"job exceeded its {budget:g}s wall-clock "
-                                 "budget"),
-                    retries, tiebreak, cause="timeout")
-                if outcome is not None:
-                    terminal.append((index, outcome))
-            pool = self._rebuild(pool, pending, todo,
-                                 f"{len(expired)} job(s) timed out")
-            return (pool, self._pool_pids(pool), rebuilds, time.monotonic(),
-                    terminal)
-        if self._workers_churned(pool, pids):
-            pool, pids, rebuilds = self._worker_loss(
-                pool, pending, todo, rebuilds, "worker process died mid-run")
-            return pool, pids, rebuilds, time.monotonic(), terminal
-        if pending and now - last_progress > policy.stall_timeout:
-            pool, pids, rebuilds = self._worker_loss(
-                pool, pending, todo, rebuilds,
-                f"no results for {policy.stall_timeout:g}s with "
-                f"{len(pending)} job(s) in flight")
-            return pool, pids, rebuilds, time.monotonic(), terminal
-        return pool, pids, rebuilds, last_progress, terminal
-
     def _worker_loss(self, pool: Any,
-                     pending: dict[int, tuple[int, int, float | None]],
+                     pending: dict[Future[Any], tuple[int, int, float | None]],
                      todo: deque[tuple[int, int]], rebuilds: int,
-                     reason: str) -> tuple[Any, set[int | None], int]:
+                     reason: str) -> tuple[Any, int]:
         """Unattributed loss: emit, count against the rebuild budget,
-        rebuild the pool, and re-dispatch the in-flight tasks with their
-        attempt counts unchanged (innocent bystanders pay nothing)."""
+        and rebuild (innocent bystanders pay no attempt)."""
         policy = self.policy
         assert policy is not None  # only a configured policy rebuilds pools
         self._emit(WorkerLost(reason=reason, in_flight=len(pending)))
         rebuilds += 1
         if rebuilds > policy.max_rebuilds:
-            pool.terminate()
-            pool.join()
             raise SupervisorGaveUp(
                 f"pool rebuilt {policy.max_rebuilds} time(s) and "
                 f"workers kept dying ({reason}); "
                 f"{len(self._unfinished)} job(s) unfinished")
-        pool = self._rebuild(pool, pending, todo, reason)
-        return pool, self._pool_pids(pool), rebuilds
+        return self._rebuild(pool, pending, todo, reason), rebuilds
 
     def _rebuild(self, pool: Any,
-                 pending: dict[int, tuple[int, int, float | None]],
+                 pending: dict[Future[Any], tuple[int, int, float | None]],
                  todo: deque[tuple[int, int]], reason: str) -> Any:
-        """Terminate + recreate the pool, requeueing every in-flight
-        task at its current attempt count."""
-        pool.terminate()
-        pool.join()
-        for index, attempt, _ in pending.values():
-            todo.append((index, attempt))
+        """Kill the pool's workers and build a new pool, requeueing
+        every in-flight task at its current attempt count."""
+        pool.kill_workers()
+        todo.extend((index, attempt) for index, attempt, _ in pending.values())
         pending.clear()
         try:
             return self._pool_factory()

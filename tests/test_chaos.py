@@ -8,6 +8,8 @@ executor wherever a cell completes at all — and that the supervision
 layer reports what happened through typed events and result meta.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,18 @@ def test_sigkill_under_shared_memory_releases_planes(trained_setup,
     assert names and all(_attachable(name) for name in names)
     campaign.close()
     assert not any(_attachable(name) for name in names)
+
+
+def test_sigkill_without_policy_raises_instead_of_hanging(trained_setup,
+                                                          tmp_path):
+    """Legacy ``policy=None``: the first failure raises, and a lost
+    worker is a failure — the run must not wait for a result the dead
+    worker will never send."""
+    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(1, 0))
+    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=None,
+                                            chaos=chaos)
+    with pytest.raises(BrokenProcessPool):
+        _campaign(trained_setup, executor).run(FaultSpec.bitflip, **KWARGS)
 
 
 # -- acceptance: poison job quarantined, not fatal -------------------------

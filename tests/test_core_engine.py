@@ -182,6 +182,33 @@ def test_multiprocessing_preserves_caller_caches(trained_setup):
         assert layer._input_cache.entries() == warm_inputs[layer.name]
 
 
+def _worker_cache_entries(job):
+    """Pool probe in place of an evaluation: the input-cache entries the
+    worker's model holds before it has evaluated anything itself."""
+    from repro.core import engine
+    entries = sum(len(layer._input_cache.entries()) for layer in
+                  engine._WORKER_EVALUATOR.model.layers_of_type(QuantDense))
+    return job.point_index, job.repeat_index, float(entries)
+
+
+class _CacheProbeExecutor(MultiprocessingExecutor):
+    def _pool_functions(self, mode):
+        return _worker_cache_entries, _worker_cache_entries
+
+
+def test_pool_workers_do_not_inherit_caller_caches(trained_setup):
+    """Workers fork while the caller's warm caches are stashed away, not
+    at the first job dispatch after they are restored."""
+    model, x, y = trained_setup
+    evaluator = CampaignEvaluator(model, x, y, backend="packed")
+    evaluator.baseline()  # warm the caller's layer input caches
+    assert any(layer._input_cache.entries()
+               for layer in model.layers_of_type(QuantDense))
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
+    results = _CacheProbeExecutor(n_jobs=2).run(jobs, evaluator)
+    assert [entries for _, _, entries in results] == [0.0, 0.0]
+
+
 def test_evaluator_snapshot_immune_to_caller_mutation(trained_setup):
     """Mutating the caller's arrays after construction must not desync the
     evaluator's cached prefix activations from its labels/data."""

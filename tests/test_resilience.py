@@ -2,7 +2,11 @@
 journal's crash-recovery behavior."""
 
 import json
+import multiprocessing
 import os
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -11,6 +15,7 @@ from repro.core.engine import MultiprocessingExecutor
 from repro.core.resilience import (JobQuarantined, JobRetried, PoolSupervisor,
                                    WorkerLost, new_stats, note_stats,
                                    supervised_serial)
+from repro.core.workerpool import WorkerPool
 
 # -- RetryPolicy ----------------------------------------------------------
 
@@ -98,27 +103,25 @@ def test_note_stats_folds_events():
 # -- PoolSupervisor shutdown + retry semantics (synchronous fake pool) ----
 
 class FakePool:
-    """apply_async runs inline; records the shutdown sequence."""
+    """submit runs inline and returns a settled Future; records the
+    shutdown sequence."""
 
     def __init__(self):
-        self.shutdown: list[str] = []
+        self.shutdown_calls: list[str] = []
 
-    def apply_async(self, func, args, callback, error_callback):
+    def submit(self, func, *args):
+        future = Future()
         try:
-            value = func(*args)
+            future.set_result(func(*args))
         except Exception as error:
-            error_callback(error)
-        else:
-            callback(value)
+            future.set_exception(error)
+        return future
 
-    def close(self):
-        self.shutdown.append("close")
+    def shutdown(self):
+        self.shutdown_calls.append("shutdown")
 
-    def terminate(self):
-        self.shutdown.append("terminate")
-
-    def join(self):
-        self.shutdown.append("join")
+    def kill_workers(self):
+        self.shutdown_calls.append("kill_workers")
 
 
 def test_supervisor_closes_pool_gracefully_on_success():
@@ -127,7 +130,7 @@ def test_supervisor_closes_pool_gracefully_on_success():
                                 RetryPolicy(backoff=0.0))
     outcomes = dict(supervisor.run())
     assert outcomes == {1: ("ok", 2), 2: ("ok", 3), 3: ("ok", 4)}
-    assert pool.shutdown == ["close", "join"]
+    assert pool.shutdown_calls == ["shutdown"]
     assert supervisor.unfinished() == []
 
 
@@ -138,7 +141,7 @@ def test_supervisor_terminates_pool_when_consumer_abandons():
     stream = supervisor.run()
     next(stream)
     stream.close()  # the KeyboardInterrupt / early-break path
-    assert pool.shutdown == ["terminate", "join"]
+    assert pool.shutdown_calls == ["kill_workers"]
     assert supervisor.unfinished()  # the rest never got an outcome
 
 
@@ -151,7 +154,7 @@ def test_supervisor_policy_none_raises_and_terminates():
     supervisor = PoolSupervisor(lambda: pool, explode, [1], None)
     with pytest.raises(RuntimeError, match="job failed"):
         list(supervisor.run())
-    assert pool.shutdown == ["terminate", "join"]
+    assert pool.shutdown_calls == ["kill_workers"]
 
 
 def test_supervisor_retries_then_quarantines():
@@ -175,17 +178,18 @@ def test_supervisor_retries_then_quarantines():
 
 
 def test_supervisor_gave_up_lists_unfinished():
-    """A factory that fails on rebuild surfaces SupervisorGaveUp and
-    leaves the undone tasks claimable by the next rung."""
-    calls = {"n": 0}
+    """A pool that never settles its futures stalls, is rebuilt, stalls
+    again, and surfaces SupervisorGaveUp with the undone tasks claimable
+    by the next rung."""
+    pools = []
 
     class BlackHolePool(FakePool):
-        def apply_async(self, func, args, callback, error_callback):
-            pass  # the task vanishes, like a killed worker's would
+        def submit(self, func, *args):
+            return Future()  # the task vanishes without a trace
 
     def black_hole_factory():
-        calls["n"] += 1
-        return BlackHolePool()
+        pools.append(BlackHolePool())
+        return pools[-1]
 
     policy = RetryPolicy(stall_timeout=0.2, max_rebuilds=1, backoff=0.0)
     supervisor = PoolSupervisor(black_hole_factory, lambda t: t, [1, 2],
@@ -193,7 +197,49 @@ def test_supervisor_gave_up_lists_unfinished():
     with pytest.raises(SupervisorGaveUp, match="unfinished"):
         list(supervisor.run())
     assert supervisor.unfinished() == [1, 2]
-    assert calls["n"] == 2  # initial pool + one rebuild
+    assert len(pools) == 2  # initial pool + one rebuild
+    assert all("kill_workers" in pool.shutdown_calls for pool in pools)
+
+
+def test_supervisor_broken_pool_redispatches_in_flight_tasks():
+    """A BrokenProcessPool future is worker loss: one WorkerLost event,
+    one rebuild, and the in-flight tasks re-run on the new pool at
+    unchanged attempt counts (max_attempts=1 would quarantine a task
+    that was charged)."""
+    class BrokenPool(FakePool):
+        def submit(self, func, *args):
+            future = Future()
+            future.set_exception(BrokenProcessPool("worker died"))
+            return future
+
+    pools = [BrokenPool(), FakePool()]
+    factory = iter(pools).__next__
+    events = []
+    supervisor = PoolSupervisor(factory, lambda t: t * 10, [1, 2],
+                                RetryPolicy(max_attempts=1, max_rebuilds=1),
+                                on_event=events.append)
+    outcomes = dict(supervisor.run())
+    assert outcomes == {1: ("ok", 10), 2: ("ok", 20)}
+    assert [type(e) for e in events] == [WorkerLost]
+    assert events[0].in_flight == 2
+    assert [pool.shutdown_calls for pool in pools] == \
+        [["kill_workers"], ["shutdown"]]
+
+
+# -- WorkerPool -----------------------------------------------------------
+
+def test_worker_pool_kill_workers_reclaims_a_stuck_task():
+    pool = WorkerPool(1, abs, (0,))
+    pid = pool.submit(os.getpid).result(timeout=30)
+    stuck = pool.submit(time.sleep, 30)
+    for _ in range(1000):  # until a worker holds it, for at most ~10 s
+        if stuck.running():
+            break
+        time.sleep(0.01)
+    pool.kill_workers()
+    with pytest.raises(BrokenProcessPool):
+        stuck.result(timeout=10)
+    assert pid not in {child.pid for child in multiprocessing.active_children()}
 
 
 # -- the sharded reducer --------------------------------------------------
