@@ -55,8 +55,14 @@ Inference input caching: when a layer sees a *read-only* input array
 derived im2col / packed representation keyed on array identity.  The
 campaign engine exploits this by replaying the same read-only activation
 batches across repetitions — the expensive patch extraction and packing
-then happen once per campaign instead of once per repetition.  Writeable
-arrays are never cached, so ordinary training/prediction is unaffected.
+then happen once per campaign instead of once per repetition.  When the
+output hook is the only fault hook attached, the GEMM beneath the hook
+does not depend on the fault plan either, so the layer also memoizes the
+clean (pre-hook, pre-bias) GEMM result per backend and applies the hook
+on top of it: the split layer of a campaign then runs one GEMM per batch
+per campaign.  Clean results depend on the weights, so
+``_invalidate_caches`` drops them.  Writeable arrays are never cached, so
+ordinary training/prediction is unaffected.
 
 The memo store is an :class:`InputRepCache` per layer: an LRU cache with
 per-owner budgets.  Ad-hoc (ownerless) use keeps the legacy bound of
@@ -84,6 +90,10 @@ __all__ = ["InputRepCache", "QuantLayer", "QuantConv2D", "QuantDense"]
 #: :meth:`InputRepCache.configure`
 _INPUT_CACHE_SLOTS = 8
 
+#: cache tags of the memoized clean GEMM output, one per backend so the
+#: packed path is never fed a float result (and vice versa)
+CLEAN_TAGS = {"float": "clean-float", "packed": "clean-packed"}
+
 
 def _rep_nbytes(value) -> int:
     """Byte footprint of a cached representation (arrays, or tuples of
@@ -109,6 +119,11 @@ class InputRepCache:
     Only read-only arrays (``x.flags.writeable == False``) are ever
     stored or counted: a writeable array may mutate after memoization,
     so it is silently ignored — exactly the legacy FIFO contract.
+
+    Hits and misses are counted per tag and in an aggregate.  The
+    aggregate counts one lookup per forward pass: a ``fallthrough``
+    lookup (the clean-GEMM memo, whose miss is followed by the input
+    representation lookup) adds its misses to its tag only.
     """
 
     def __init__(self):
@@ -116,7 +131,7 @@ class InputRepCache:
         self._entries: list[tuple] = []
         #: owner -> (max entries, max bytes | None)
         self._budgets: dict = {}
-        #: owner -> [hits, misses]
+        #: owner -> {tag, or None for the aggregate: [hits, misses]}
         self._stats: dict = {}
 
     # -- bookkeeping -----------------------------------------------------
@@ -132,33 +147,44 @@ class InputRepCache:
         """Set ``owner``'s budget: at most ``slots`` entries and (when not
         ``None``) at most ``max_bytes`` bytes of cached representations."""
         self._budgets[owner] = (slots, max_bytes)
-        self._stats.setdefault(owner, [0, 0])
+        self._stats.setdefault(owner, {})
 
-    def stats(self, owner=None) -> dict:
-        """Hit/miss counters and current footprint for one owner."""
-        self._purge_dead_owners()
-        hits, misses = self._stats.get(owner, (0, 0))
-        mine = [entry for entry in self._entries if entry[0] is owner]
+    def stats(self, owner=None, tag: str | None = None) -> dict:
+        """Hit/miss counters and current footprint for one owner — the
+        aggregate, or only the entries and lookups of ``tag``.
+
+        A pure read: it never purges dead owners, so querying statistics
+        (as instrumented campaign runs do) cannot change when a dropped
+        campaign's memory is released.
+        """
+        hits, misses = self._stats.get(owner, {}).get(tag, (0, 0))
+        mine = [entry for entry in self._entries if entry[0] is owner
+                and (tag is None or entry[1] == tag)]
         total = hits + misses
         return {"hits": hits, "misses": misses, "entries": len(mine),
                 "bytes": sum(entry[4] for entry in mine),
                 "hit_rate": hits / total if total else 0.0}
 
     # -- lookup/insert ---------------------------------------------------
-    def get(self, tag: str, x: np.ndarray, owner=None):
+    def get(self, tag: str, x: np.ndarray, owner=None,
+            fallthrough: bool = False):
         """Cached representation for ``(tag, x)`` or ``None``; charges the
-        hit or miss to ``owner`` and refreshes the entry's LRU position."""
+        hit or miss to ``owner`` and refreshes the entry's LRU position.
+        A ``fallthrough`` miss is charged to ``tag`` only."""
         # purge before the writeable early-return so a dropped campaign's
         # pinned entries are released by ordinary (uncached) inference too
         self._purge_dead_owners()
         if x.flags.writeable:
             return None  # never cached, so not a miss either
+        counts = self._stats.setdefault(owner, {})
         for index, entry in enumerate(self._entries):
             if entry[1] == tag and entry[2] is x:
                 self._entries.append(self._entries.pop(index))
-                self._stats.setdefault(owner, [0, 0])[0] += 1
+                for key in (None, tag):
+                    counts.setdefault(key, [0, 0])[0] += 1
                 return entry[3]
-        self._stats.setdefault(owner, [0, 0])[1] += 1
+        for key in ((tag,) if fallthrough else (None, tag)):
+            counts.setdefault(key, [0, 0])[1] += 1
         return None
 
     def peek(self, tag: str, x: np.ndarray):
@@ -178,6 +204,10 @@ class InputRepCache:
         self._evict(owner)
 
     # -- eviction --------------------------------------------------------
+    def discard(self, tags) -> None:
+        """Drop every owner's entries tagged with one of ``tags``."""
+        self._entries = [e for e in self._entries if e[1] not in tags]
+
     def drop_owner(self, owner) -> None:
         """Release one owner's entries, budget, and counters — other
         owners' cached representations are untouched (a campaign closing
@@ -211,7 +241,16 @@ class InputRepCache:
 
 
 class QuantLayer(Layer):
-    """Shared machinery of quantized layers: quantizers + fault hooks."""
+    """Shared machinery of quantized layers: quantizers + fault hooks.
+
+    Fault hooks must return a new array and never write their input in
+    place: at inference the output hook may receive a read-only memoized
+    GEMM result, which an in-place write fails on instead of corrupting.
+    """
+
+    #: whether the float path memoizes an input representation (im2col)
+    #: that a clean-GEMM miss falls through to
+    _float_input_rep = False
 
     def __init__(self, input_quantizer=None, kernel_quantizer="ste_sign",
                  name: str | None = None):
@@ -240,6 +279,7 @@ class QuantLayer(Layer):
     def _invalidate_caches(self) -> None:
         """Drop derived-weight caches (call after in-place weight updates)."""
         self._packed_kernel_cache = None
+        self._input_cache.discard(CLEAN_TAGS.values())
 
     def _apply_kernel_hook(self, qkernel: np.ndarray) -> np.ndarray:
         if self.kernel_fault_hook is None:
@@ -262,13 +302,51 @@ class QuantLayer(Layer):
             return self._apply_kernel_hook(binary) * gain
         return self._apply_kernel_hook(self.kernel_quantizer.quantize(kernel))
 
+    # -- forward ----------------------------------------------------------
+    def forward(self, x, training=False):
+        if not training and self._packed_eligible():
+            out = self._clean_gemm("packed", x, lambda: self._forward_packed(x))
+        else:
+            out = self._clean_gemm(
+                "float", x, lambda: self._forward_float(x, training), training)
+        out = self._apply_output_hook(out)
+        if self.use_bias:
+            out = out + self.params["bias"]
+        return out
+
+    def _clean_gemm(self, backend: str, x, compute, training=False):
+        """The pre-hook, pre-bias GEMM output ``compute()``, memoized per
+        ``(backend, x)`` when only an output hook is attached.
+
+        Output-level faults act on the feature map after the GEMM, so for
+        a read-only inference input the GEMM result is plan-independent:
+        it is computed once, stored read-only, and every later plan runs
+        its output hook on top of it.
+        """
+        if (training or x.flags.writeable or self.output_fault_hook is None
+                or self.kernel_fault_hook is not None
+                or self.product_fault_hook is not None):
+            return compute()
+        tag = CLEAN_TAGS[backend]
+        fallthrough = backend == "packed" or self._float_input_rep
+        out = self._input_cache.get(tag, x, owner=self._cache_owner,
+                                    fallthrough=fallthrough)
+        if out is None:
+            out = compute()
+            out.flags.writeable = False
+            self._input_cache_put(tag, x, out)
+        return out
+
     # -- packed fast path -------------------------------------------------
     def _packed_eligible(self) -> bool:
-        """Whether the packed XNOR/popcount backend can run this layer."""
+        """Whether the packed XNOR/popcount backend can run this layer: a
+        strictly binary layer with no product hook whose (hooked) kernel
+        packs as bipolar words."""
         return (self.execution_backend == "packed"
                 and self.product_fault_hook is None
                 and getattr(self.input_quantizer, "strictly_binary", False)
-                and getattr(self.kernel_quantizer, "strictly_binary", False))
+                and getattr(self.kernel_quantizer, "strictly_binary", False)
+                and self._packed_kernel_words()[0] is not None)
 
     def _packed_kernel_words(self) -> tuple[np.ndarray | None, int]:
         """Packed (transposed) binary kernel, cached per fault-hook state.
@@ -342,6 +420,8 @@ class QuantLayer(Layer):
 class QuantConv2D(QuantLayer):
     """Binarized 2-D convolution (NHWC, kernel ``(kh, kw, c_in, c_out)``)."""
 
+    _float_input_rep = True  # the im2col matrix
+
     def __init__(self, filters: int, kernel_size: int, stride: int = 1,
                  padding: str = "valid", use_bias: bool = False,
                  input_quantizer=None, kernel_quantizer="ste_sign",
@@ -388,17 +468,14 @@ class QuantConv2D(QuantLayer):
     def output_channels(self):
         return self.filters
 
-    def _forward_packed(self, x) -> np.ndarray | None:
-        """Packed XNOR/popcount convolution; ``None`` -> float fallback.
+    def _packed_eligible(self) -> bool:
+        # ``same`` padding injects zeros into the im2col matrix, which have
+        # no bipolar encoding — only ``valid`` convolutions run packed
+        return self.padding == "valid" and super()._packed_eligible()
 
-        ``same`` padding injects zeros into the im2col matrix, which have
-        no bipolar encoding — only ``valid`` convolutions run packed.
-        """
-        if self.padding != "valid":
-            return None
+    def _forward_packed(self, x) -> np.ndarray:
+        """Packed XNOR/popcount convolution (pre-hook, pre-bias)."""
         kwords, length = self._packed_kernel_words()
-        if kwords is None:
-            return None
         cached = self._input_cache_get("packed", x)
         if cached is None:
             # sign-threshold first: im2col then gathers uint8, not float32,
@@ -413,14 +490,8 @@ class QuantConv2D(QuantLayer):
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
 
-    def forward(self, x, training=False):
-        if not training and self._packed_eligible():
-            out = self._forward_packed(x)
-            if out is not None:
-                out = self._apply_output_hook(out)
-                if self.use_bias:
-                    out = out + self.params["bias"]
-                return out
+    def _forward_float(self, x, training) -> np.ndarray:
+        """im2col + float32 GEMM (pre-hook, pre-bias)."""
         qkernel = self._quantize_kernel()
         cached = None if training else self._input_cache_get("cols", x)
         if cached is None:
@@ -436,13 +507,9 @@ class QuantConv2D(QuantLayer):
         flat = cols @ qw
         if self.product_fault_hook is not None:
             flat = self.product_fault_hook(flat, cols, qw, self)
-        out = flat.reshape(x.shape[0], oh, ow, self.filters)
-        out = self._apply_output_hook(out)
-        if self.use_bias:
-            out = out + self.params["bias"]
         if training:
             self._cache = (x, qx, qkernel)
-        return out
+        return flat.reshape(x.shape[0], oh, ow, self.filters)
 
     def backward(self, dout):
         x, qx, qkernel = self._cache
@@ -496,11 +563,9 @@ class QuantDense(QuantLayer):
     def output_channels(self):
         return self.units
 
-    def _forward_packed(self, x) -> np.ndarray | None:
-        """Packed XNOR/popcount matmul; ``None`` -> float fallback."""
+    def _forward_packed(self, x) -> np.ndarray:
+        """Packed XNOR/popcount matmul (pre-hook, pre-bias)."""
         kwords, length = self._packed_kernel_words()
-        if kwords is None:
-            return None
         xwords = self._input_cache_get("packed", x)
         if xwords is None:
             xwords, _ = bitops.pack_sign(x)
@@ -508,22 +573,13 @@ class QuantDense(QuantLayer):
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32)
 
-    def forward(self, x, training=False):
-        if not training and self._packed_eligible():
-            out = self._forward_packed(x)
-            if out is not None:
-                out = self._apply_output_hook(out)
-                if self.use_bias:
-                    out = out + self.params["bias"]
-                return out
+    def _forward_float(self, x, training) -> np.ndarray:
+        """Float32 matmul (pre-hook, pre-bias)."""
         qx = self.input_quantizer.quantize(x) if self.input_quantizer else x
         qkernel = self._quantize_kernel()
         out = qx @ qkernel
         if self.product_fault_hook is not None:
             out = self.product_fault_hook(out, qx, qkernel, self)
-        out = self._apply_output_hook(out)
-        if self.use_bias:
-            out = out + self.params["bias"]
         if training:
             self._cache = (x, qx, qkernel)
         return out

@@ -114,7 +114,8 @@ class FaultCampaign:
         ``"float"`` or ``"packed"`` — see :mod:`repro.binary.layers`.
     cache_bytes:
         Byte cap, per quantized layer, for this campaign's share of the
-        derived input-representation caches (im2col / packed words);
+        derived input-representation caches (im2col / packed words, and
+        clean GEMM outputs under output-level faults);
         ``None`` selects
         :data:`repro.core.engine.DEFAULT_INPUT_CACHE_BYTES` (256 MiB).
         In practice only the prefix-split layer sees cacheable inputs,

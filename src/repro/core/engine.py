@@ -37,7 +37,12 @@ Redundant-work elimination
   stack — roughly half the inference — in every repetition;
 * the read-only activation batches are *identically the same objects*
   across jobs, which arms the quantized layers' input-representation
-  caches (im2col / bit-packing reuse, see :mod:`repro.binary.layers`).
+  caches (im2col / bit-packing reuse, see :mod:`repro.binary.layers`);
+* under output-level faults (bit-flips, output stuck-at, row/column
+  faults) the split layer's GEMM does not depend on the plan: the layer
+  memoizes its clean GEMM output per batch in the same cache and applies
+  each plan's output hook on top, so a campaign runs that GEMM once per
+  batch.
 
 The evaluator takes a **defensive snapshot** of the test set at
 construction: mutating the caller's arrays afterwards can never desync the
@@ -318,14 +323,11 @@ class CampaignEvaluator:
         is restored afterwards, so interleaved campaigns on one model
         charge their own budgets and never evict each other's entries.
         """
-        n_batches = math.ceil(len(self.x_test) / self.batch_size)
         owned: list[tuple] = []
         for layer in self.model.all_layers():
             cache = getattr(layer, "_input_cache", None)
             if hasattr(cache, "configure"):
-                cache.configure(self._cache_token,
-                                slots=max(8, 2 * n_batches),
-                                max_bytes=self.cache_bytes)
+                self._configure_cache(cache)
                 owned.append((layer, layer._cache_owner))
                 layer._cache_owner = self._cache_token
         try:
@@ -335,9 +337,28 @@ class CampaignEvaluator:
             for layer, saved in owned:
                 layer._cache_owner = saved
 
-    def input_cache_stats(self) -> dict:
+    def _configure_cache(self, cache) -> None:
+        """Register this evaluator's budget in one layer's input cache.
+
+        Each test batch may hold an input representation and a clean GEMM
+        output (plus one slot of headroom), so neither evicts the other
+        within a campaign.
+        """
+        n_batches = math.ceil(len(self.x_test) / self.batch_size)
+        cache.configure(self._cache_token, slots=max(8, 3 * n_batches),
+                        max_bytes=self.cache_bytes)
+
+    def input_cache_stats(self, tag: str | None = None) -> dict:
         """Aggregate hit/miss statistics of this evaluator's share of the
         layers' input-representation caches.
+
+        Parameters
+        ----------
+        tag : str, optional
+            Count only one cache tag (e.g. ``"cols"`` or the clean-GEMM
+            memo's ``"clean-float"``).  The default aggregate counts one
+            lookup per cached forward pass (see
+            :class:`~repro.binary.layers.InputRepCache`).
 
         Returns
         -------
@@ -352,7 +373,8 @@ class CampaignEvaluator:
         for layer in self.model.all_layers():
             cache = getattr(layer, "_input_cache", None)
             if hasattr(cache, "stats"):
-                for key, value in cache.stats(self._cache_token).items():
+                for key, value in cache.stats(self._cache_token,
+                                              tag).items():
                     if key in totals:
                         totals[key] += value
         lookups = totals["hits"] + totals["misses"]
@@ -494,9 +516,7 @@ class CampaignEvaluator:
         cache = getattr(layer, "_input_cache", None)
         if not hasattr(cache, "configure"):
             return
-        n_batches = math.ceil(len(self.x_test) / self.batch_size)
-        cache.configure(self._cache_token, slots=max(8, 2 * n_batches),
-                        max_bytes=self.cache_bytes)
+        self._configure_cache(cache)
         for (z, _), (tag, value) in zip(batches, reps):
             cache.put(tag, z, value, owner=self._cache_token)
 
@@ -1354,10 +1374,12 @@ def _strip_transient_state(model: Sequential) -> None:
     """Drop per-layer scratch state (training caches, memoized packings)
     before pickling a model into worker processes."""
     for layer in model.all_layers():
-        if hasattr(layer, "_invalidate_caches"):
-            layer._invalidate_caches()
+        # swap in a fresh input cache first: invalidating must not reach
+        # into the old one, which _transient_state_stashed restores
         if hasattr(layer, "_input_cache"):
             layer._input_cache = type(layer._input_cache)()
+        if hasattr(layer, "_invalidate_caches"):
+            layer._invalidate_caches()
         if hasattr(layer, "_cache"):
             layer._cache = None
 

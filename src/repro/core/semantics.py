@@ -33,10 +33,12 @@ def apply_output_flips(feature_map: np.ndarray, selector: np.ndarray) -> np.ndar
     On strictly binary tensors this is exactly the paper's Fig. 3 mask
     XNOR; on integer popcount maps it is the op-level upper-bound
     abstraction FLIM trades accuracy for.
+
+    One multiply by a ±1 vector: ``v * -1`` is bit-identical to ``-v``
+    (signed zeros included) and ``v * 1`` to ``v``.
     """
-    flat = _per_image(feature_map).copy()
-    flat[:, selector] = -flat[:, selector]
-    return flat.reshape(feature_map.shape)
+    signs = np.where(selector, -1, 1).astype(feature_map.dtype)
+    return (_per_image(feature_map) * signs).reshape(feature_map.shape)
 
 
 def apply_output_stuck(feature_map: np.ndarray, selector: np.ndarray,

@@ -152,9 +152,16 @@ def maxpool2d(x: np.ndarray, size: int = 2,
     ``(out, None)``.
     """
     view = _pool_view(x, size)
-    out = view.max(axis=(2, 4))
     if not with_mask:
+        # elementwise maximum over the size² strided window slices is
+        # several times faster than a max-reduction over the 6-D view
+        windows = [x[:, i::size, j::size]
+                   for i in range(size) for j in range(size)]
+        out = np.array(windows[0])
+        for window in windows[1:]:
+            np.maximum(out, window, out=out)
         return out, None
+    out = view.max(axis=(2, 4))
     expanded = out[:, :, None, :, None, :]
     winners = (view == expanded)
     # break ties: keep only the first winner per window

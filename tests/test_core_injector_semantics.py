@@ -110,3 +110,24 @@ def test_zero_rate_weight_semantics_still_identity(rng):
         FaultSpec.bitflip(0.0, semantics=Semantics.WEIGHT), rows=4, cols=4)
     with FaultInjector().injecting(model, generator.generate(model)):
         np.testing.assert_array_equal(model.predict(x), clean)
+
+
+def test_output_flips_bit_identical_to_negation():
+    """The ±1 multiply negates exactly the selected elements: signed
+    zeros and infinities flip like ``-v``, everything else is untouched,
+    and the dtype is preserved."""
+    from repro.core.semantics import apply_output_flips
+
+    rng = np.random.default_rng(3)
+    values = rng.choice([-0.0, 0.0, -3.0, 5.0, np.inf, -np.inf], size=(4, 2, 3, 5))
+    selector = rng.random(2 * 3 * 5) < 0.5
+    for dtype in (np.float32, np.float64):
+        fmap = values.astype(dtype)
+        want = fmap.reshape(4, -1).copy()
+        want[:, selector] = -want[:, selector]
+        want = want.reshape(fmap.shape)
+        got = apply_output_flips(fmap, selector)
+        assert got.dtype == dtype and got.shape == fmap.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert not np.shares_memory(got, fmap)

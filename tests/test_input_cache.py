@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.binary import QuantDense
-from repro.binary.layers import _INPUT_CACHE_SLOTS, InputRepCache
-from repro.core import FaultCampaign, FaultSpec
+from repro.binary import QuantConv2D, QuantDense
+from repro.binary.layers import _INPUT_CACHE_SLOTS, CLEAN_TAGS, InputRepCache
+from repro.core import (FaultCampaign, FaultGenerator, FaultInjector,
+                        FaultSpec, Semantics)
+from repro.core.engine import build_jobs
 
 
 def _frozen(shape=(4,), seed=0):
@@ -185,3 +187,241 @@ def test_interleaved_campaigns_keep_their_hit_rates(trained_setup):
     before = c2.input_cache_stats()["misses"]
     c2.run(FaultSpec.bitflip, xs=[0.3], repeats=2)
     assert c2.input_cache_stats()["misses"] == before
+
+
+# -- the clean-GEMM memo under output-level faults --------------------------
+
+ROWS, COLS = 8, 4
+
+#: output-level plans: the only fault hook they attach is the output hook
+OUTPUT_SPECS = {
+    "bitflip": FaultSpec.bitflip(0.3),
+    "stuck_at": FaultSpec.stuck_at(0.2),
+    "dynamic": FaultSpec.bitflip(0.4, period=3),
+    "rows": FaultSpec.faulty_rows(2),
+    "columns": FaultSpec.faulty_columns(1),
+}
+
+OUTPUT_SWEEPS = {
+    "bitflip": FaultSpec.bitflip,
+    "stuck_at": FaultSpec.stuck_at,
+    "dynamic": lambda rate: FaultSpec.bitflip(rate, period=3),
+    "rows": lambda count: FaultSpec.faulty_rows(int(count)),
+}
+
+
+def one_conv_model(seed=0):
+    model = nn.Sequential([
+        QuantConv2D(6, 3, use_bias=True, input_quantizer="ste_sign",
+                    kernel_quantizer="ste_sign", name="memo_conv"),
+    ], name="memo_conv_model")
+    model.build((6, 6, 2), seed=seed)
+    model.layers[0].params["bias"][...] = np.linspace(-1, 1, 6)
+    return model
+
+
+def one_dense_model(seed=0):
+    model = nn.Sequential([
+        QuantDense(32, use_bias=True, input_quantizer="ste_sign",
+                   kernel_quantizer="ste_sign", name="memo_dense"),
+    ], name="memo_dense_model")
+    model.build((18,), seed=seed)
+    model.layers[0].params["bias"][...] = np.linspace(-1, 1, 32)
+    return model
+
+
+def _inputs(model, seed=0, n=5):
+    x = np.random.default_rng(seed).standard_normal(
+        (n,) + tuple(model.input_shape)).astype(np.float32)
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    return x, frozen
+
+
+def _assert_bit_identical(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _clean_entries(model, owner=None) -> int:
+    return sum(layer._input_cache.stats(owner, tag)["entries"]
+               for layer in model.all_layers()
+               if hasattr(layer, "_input_cache")
+               for tag in CLEAN_TAGS.values())
+
+
+@pytest.mark.parametrize("backend", ["float", "packed"])
+@pytest.mark.parametrize("make_model", [one_conv_model, one_dense_model])
+@pytest.mark.parametrize("spec", OUTPUT_SPECS.values(), ids=OUTPUT_SPECS)
+def test_clean_gemm_memo_is_exact(make_model, backend, spec):
+    """A read-only input under an output-level plan runs its GEMM once;
+    the cold and the memoized forward both equal the same plan on a
+    writeable copy of the input (which bypasses the memo)."""
+    model = make_model().set_execution_backend(backend)
+    layer = model.layers[0]
+    x, frozen = _inputs(model)
+    clean = model.forward(frozen)
+    assert _clean_entries(model) == 0  # hook-free passes memoize nothing
+    plan = FaultGenerator(spec, rows=ROWS, cols=COLS, seed=4).generate(model)
+    with FaultInjector().injecting(model, plan):
+        assert layer.output_fault_hook is not None
+        assert layer.kernel_fault_hook is None
+        cold = model.forward(frozen)
+        warm = model.forward(frozen)
+        reference = model.forward(x)
+    stats = layer._input_cache.stats(None, CLEAN_TAGS[backend])
+    assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
+    _assert_bit_identical(cold, reference)
+    _assert_bit_identical(warm, reference)
+    assert not np.array_equal(reference, clean)  # the faults did land
+
+
+def _unmemoized_accuracies(model, x, y, factory, xs, repeats, seed, backend):
+    """The grid evaluated plan by plan on writeable data: the memo (and
+    every other input cache) never engages."""
+    writeable = np.array(x)
+    accuracies = np.zeros((len(xs), repeats))
+    injector = FaultInjector()
+    model.set_execution_backend(backend)
+    try:
+        for job in build_jobs(model, factory, xs, repeats, seed, ROWS, COLS):
+            with injector.injecting(model, job.plan):
+                accuracies[job.point_index, job.repeat_index] = (
+                    model.evaluate(writeable, y, batch_size=25))
+    finally:
+        model.set_execution_backend("float")
+    return accuracies
+
+
+@pytest.mark.parametrize("executor", ["serial", "shared_memory"])
+@pytest.mark.parametrize("backend", ["float", "packed"])
+def test_campaign_memo_matches_unmemoized_reference(trained_setup, executor,
+                                                    backend):
+    model, x, y = trained_setup
+    x, y = x[:100], y[:100]
+    with FaultCampaign(model, x, y, rows=ROWS, cols=COLS, batch_size=25,
+                       executor=executor, n_jobs=2,
+                       backend=backend) as campaign:
+        for name, factory in OUTPUT_SWEEPS.items():
+            xs = [0.0, 2.0] if name == "rows" else [0.0, 0.3]
+            result = campaign.run(factory, xs=xs, repeats=2, seed=5)
+            want = _unmemoized_accuracies(model, x, y, factory, xs, 2, 5,
+                                          backend)
+            np.testing.assert_array_equal(result.accuracies, want,
+                                          err_msg=name)
+            if executor == "shared_memory":  # the pool ran, not a fallback
+                assert campaign._executor.payload_bytes > 0
+
+
+def test_split_layer_runs_its_gemm_once_per_batch(trained_setup,
+                                                  monkeypatch):
+    """One clean GEMM per (split layer, batch) per campaign: the first
+    faulty cell misses, every later cell — in any later run of any
+    output-level sweep — hits."""
+    model, x, y = trained_setup
+    split = model.layers[0]
+    gemms = []
+    forward_float = split._forward_float
+    monkeypatch.setattr(split, "_forward_float",
+                        lambda *a: gemms.append(1) or forward_float(*a))
+    n_batches = 16
+    campaign = FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
+                             batch_size=25)
+    campaign.run(FaultSpec.bitflip, xs=[0.3, 0.5], repeats=3)
+    stats = campaign._evaluator.input_cache_stats(tag="clean-float")
+    assert (stats["misses"], stats["hits"]) == (n_batches, 5 * n_batches)
+    assert stats["entries"] == n_batches
+    # the hook-free baseline pass plus the first faulty cell
+    assert len(gemms) == 2 * n_batches
+    campaign.run(FaultSpec.stuck_at, xs=[0.2], repeats=2)
+    stats = campaign._evaluator.input_cache_stats(tag="clean-float")
+    assert (stats["misses"], stats["hits"]) == (n_batches, 7 * n_batches)
+    assert len(gemms) == 2 * n_batches
+    # suffix layers see fresh writeable activations: nothing memoized
+    assert _clean_entries(model, campaign._evaluator._cache_token) == n_batches
+    campaign.close()
+
+
+@pytest.mark.parametrize("factory", [
+    lambda rate: FaultSpec.stuck_at(rate, semantics=Semantics.WEIGHT),
+    lambda rate: FaultSpec.bitflip(rate, semantics=Semantics.PRODUCT),
+    # an output hook next to a kernel/product hook: the GEMM itself is
+    # faulty, so it must not be memoized either
+    lambda rate: [FaultSpec.stuck_at(rate, semantics=Semantics.WEIGHT),
+                  FaultSpec.bitflip(rate)],
+    lambda rate: [FaultSpec.stuck_at(rate, semantics=Semantics.PRODUCT),
+                  FaultSpec.bitflip(rate)],
+    None,
+], ids=["weight", "product", "weight+output", "product+output", "baseline"])
+def test_no_clean_entry_without_an_output_only_plan(trained_setup, factory):
+    model, x, y = trained_setup
+    x, y = x[:100], y[:100]
+    campaign = FaultCampaign(model, x, y, rows=ROWS, cols=COLS, batch_size=25)
+    if factory is None:
+        campaign.baseline_accuracy()
+    else:
+        result = campaign.run(factory, xs=[0.3], repeats=2)
+        want = _unmemoized_accuracies(model, x, y, factory, [0.3], 2, 0,
+                                      "float")
+        np.testing.assert_array_equal(result.accuracies, want)
+    token = campaign._evaluator._cache_token
+    assert _clean_entries(model, token) == 0
+    for tag in CLEAN_TAGS.values():
+        stats = campaign._evaluator.input_cache_stats(tag=tag)
+        assert stats["hits"] == stats["misses"] == 0
+    campaign.close()
+
+
+# -- invalidation and safety ---------------------------------------------------
+
+def _bitflip_plan(model):
+    return FaultGenerator(FaultSpec.bitflip(0.3), rows=ROWS, cols=COLS,
+                          seed=2).generate(model)
+
+
+def test_memo_follows_load_state_dict():
+    model = one_conv_model(seed=0)
+    x, frozen = _inputs(model)
+    with FaultInjector().injecting(model, _bitflip_plan(model)):
+        stale = model.forward(frozen)
+        model.load_state_dict(one_conv_model(seed=1).state_dict())
+        fresh = model.forward(frozen)
+        reference = model.forward(x)
+    _assert_bit_identical(fresh, reference)
+    assert not np.array_equal(fresh, stale)
+
+
+def test_memo_follows_a_training_step():
+    model = one_conv_model()
+    x, frozen = _inputs(model)
+    plan = _bitflip_plan(model)
+    injector = FaultInjector()
+    with injector.injecting(model, plan):
+        stale = model.forward(frozen)
+    logits = model.forward(x, training=True)
+    model.backward(np.ones_like(logits))
+    nn.SGD(0.5).step(model.all_layers())
+    with injector.injecting(model, plan):
+        fresh = model.forward(frozen)
+        reference = model.forward(x)
+    _assert_bit_identical(fresh, reference)
+    assert not np.array_equal(fresh, stale)
+
+
+def test_in_place_output_hook_raises_instead_of_corrupting_the_memo():
+    model = one_conv_model()
+    layer = model.layers[0]
+    x, frozen = _inputs(model)
+
+    def negate_in_place(out, _layer):
+        out *= -1
+        return out
+
+    layer.output_fault_hook = negate_in_place
+    with pytest.raises(ValueError, match="read-only"):
+        model.forward(frozen)
+    layer.output_fault_hook = lambda out, _layer: out + 0
+    try:
+        _assert_bit_identical(model.forward(frozen), model.forward(x))
+    finally:
+        layer.clear_fault_hooks()

@@ -113,6 +113,43 @@ def test_maxpool_backward_routes_gradient(rng):
 def test_maxpool_rejects_nondivisible():
     with pytest.raises(ValueError):
         ops.maxpool2d(np.zeros((1, 5, 4, 1)), 2)
+    with pytest.raises(ValueError):
+        ops.maxpool2d(np.zeros((1, 4, 6, 1)), 4, with_mask=False)
+
+
+def _assert_bit_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("values", ["random", "ties", "inf", "signed_zeros"])
+def test_inference_maxpool_matches_mask_path(rng, size, values):
+    """The mask-free inference path is bit-identical to the training path
+    (which reduces over the 6-D window view), ±0.0 and ±inf included."""
+    shape = (3, 4 * size, 2 * size, 5)
+    if values == "random":
+        x = rng.standard_normal(shape)
+    elif values == "ties":
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    elif values == "inf":
+        x = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], size=shape)
+    else:
+        x = rng.choice([-0.0, 0.0], size=shape)
+    for dtype in (np.float32, np.float64):
+        typed = x.astype(dtype)
+        fast, mask = ops.maxpool2d(typed, size, with_mask=False)
+        reference, _ = ops.maxpool2d(typed, size, with_mask=True)
+        assert mask is None
+        _assert_bit_identical(fast, reference)
+
+
+def test_inference_maxpool_returns_a_new_array(rng):
+    x = rng.standard_normal((2, 4, 4, 3)).astype(np.float32)
+    x.flags.writeable = False
+    out, _ = ops.maxpool2d(x, 1, with_mask=False)
+    assert not np.shares_memory(out, x) and out.flags.writeable
 
 
 def test_avgpool_roundtrip(rng):
