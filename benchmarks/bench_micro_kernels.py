@@ -1,13 +1,15 @@
 """Micro-benchmarks of the computational kernels.
 
 Not a paper figure — these quantify the building blocks that make FLIM's
-fast path fast: binary GEMM formulations, mask generation/application and
-the device-level gate program they replace.
+fast path fast: binary GEMM formulations, the binary tail between mapped
+layers, mask generation/application and the device-level gate program
+they replace.
 """
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.binary import bitops
 from repro.core import FaultSpec, assemble_layer_masks
 from repro.core.semantics import apply_output_flips
@@ -39,6 +41,45 @@ def test_bench_im2col_conv(benchmark, rng):
     x = rng.standard_normal((16, 28, 28, 8)).astype(np.float32)
     kernel = rng.standard_normal((5, 5, 8, 16)).astype(np.float32)
     benchmark(lambda: ops.conv2d(x, kernel, 1, "valid"))
+
+
+@pytest.fixture(scope="module")
+def conv_map(rng):
+    """A 256-image conv feature map of exact ±1 sums, K = 144."""
+    k = 144
+    return k, (2 * rng.binomial(k, 0.5, (256, 4, 4, 16)) - k).astype(
+        np.float32)
+
+
+@pytest.mark.parametrize("variant", ["np_where", "bipolar"])
+def test_bench_sign(benchmark, conv_map, variant):
+    """Bipolar sign of a feature map: the float64 ``np.where`` idiom vs
+    ``ops.bipolar`` (one float32 cast, two in-place passes)."""
+    _, x = conv_map
+    if variant == "np_where":
+        out = benchmark(
+            lambda: np.where(x >= 0, 1.0, -1.0).astype(np.float32))
+    else:
+        out = benchmark(lambda: ops.bipolar(x >= 0))
+    np.testing.assert_array_equal(out, ops.bipolar(x >= 0))
+
+
+@pytest.mark.parametrize("variant", ["batchnorm_sign", "thresholds"])
+def test_bench_binary_tail(benchmark, rng, conv_map, variant):
+    """What the next mapped layer reads: batch-norm then sign, vs one
+    integer-threshold compare (repro.binary.tail)."""
+    k, x = conv_map
+    bn = nn.BatchNorm()
+    bn.build(x.shape[1:], rng)
+    bn.params["gamma"][...] = rng.normal(0, 1, 16)
+    bn.running_mean[...] = rng.normal(0, 4, 16)
+    bn.running_var[...] = rng.uniform(5, 60, 16)
+    if variant == "batchnorm_sign":
+        out = benchmark(lambda: ops.bipolar(bn.forward(x) >= 0))
+    else:
+        thresholds = bn.sign_thresholds(k)
+        out = benchmark(lambda: bn.forward(x, thresholds=thresholds))
+    np.testing.assert_array_equal(out, ops.bipolar(bn.forward(x) >= 0))
 
 
 def test_bench_mask_generation(benchmark, rng):

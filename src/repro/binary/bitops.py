@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.ops import bipolar
+
 __all__ = [
     "pack_bipolar",
     "pack_bits",
@@ -106,7 +108,7 @@ def unpack_bipolar(packed: np.ndarray, length: int) -> np.ndarray:
     shifts = np.arange(_WORD, dtype=np.uint64)
     bits = (packed[..., :, None] >> shifts) & np.uint64(1)
     flat = bits.reshape(packed.shape[:-1] + (-1,))[..., :length]
-    return np.where(flat == 1, 1.0, -1.0).astype(np.float32)
+    return bipolar(flat == 1)
 
 
 def xnor_accumulate(a_packed: np.ndarray, b_packed: np.ndarray, length: int) -> np.ndarray:

@@ -64,6 +64,11 @@ per campaign.  Clean results depend on the weights, so
 ``_invalidate_caches`` drops them.  Writeable arrays are never cached, so
 ordinary training/prediction is unaffected.
 
+Binary tail: ``forward(x, bipolar_input=True)`` (inference only) declares
+``x`` already ±1 and skips the input quantizer, which maps ±1 to itself.
+The campaign engine passes it to a layer fed by a batch-norm that emits
+±1 through integer thresholds (:mod:`repro.binary.tail`).
+
 The memo store is an :class:`InputRepCache` per layer: an LRU cache with
 per-owner budgets.  Ad-hoc (ownerless) use keeps the legacy bound of
 :data:`_INPUT_CACHE_SLOTS` entries; a campaign evaluator registers itself
@@ -303,12 +308,17 @@ class QuantLayer(Layer):
         return self._apply_kernel_hook(self.kernel_quantizer.quantize(kernel))
 
     # -- forward ----------------------------------------------------------
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, bipolar_input=False):
+        """Quantized GEMM, fault hooks, bias.  ``bipolar_input`` (inference
+        only) declares ``x`` already ±1, so the input quantizer is skipped:
+        a sign quantizer maps ±1 to itself."""
         if not training and self._packed_eligible():
             out = self._clean_gemm("packed", x, lambda: self._forward_packed(x))
         else:
             out = self._clean_gemm(
-                "float", x, lambda: self._forward_float(x, training), training)
+                "float", x,
+                lambda: self._forward_float(x, training, bipolar_input),
+                training)
         out = self._apply_output_hook(out)
         if self.use_bias:
             out = out + self.params["bias"]
@@ -368,6 +378,11 @@ class QuantLayer(Layer):
             words, length = None, 0
         self._packed_kernel_cache = (token, words, length)
         return words, length
+
+    def _quantize_input(self, x, bipolar_input: bool) -> np.ndarray:
+        if self.input_quantizer is None or bipolar_input:
+            return x
+        return self.input_quantizer.quantize(x)
 
     def _input_cache_get(self, tag: str, x: np.ndarray):
         return self._input_cache.get(tag, x, owner=self._cache_owner)
@@ -490,12 +505,12 @@ class QuantConv2D(QuantLayer):
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
 
-    def _forward_float(self, x, training) -> np.ndarray:
+    def _forward_float(self, x, training, bipolar_input) -> np.ndarray:
         """im2col + float32 GEMM (pre-hook, pre-bias)."""
         qkernel = self._quantize_kernel()
         cached = None if training else self._input_cache_get("cols", x)
         if cached is None:
-            qx = self.input_quantizer.quantize(x) if self.input_quantizer else x
+            qx = self._quantize_input(x, bipolar_input)
             cached = ops.im2col(qx, self.kernel_size, self.kernel_size,
                                 self.stride, self.padding)
             if not training:
@@ -573,9 +588,9 @@ class QuantDense(QuantLayer):
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32)
 
-    def _forward_float(self, x, training) -> np.ndarray:
+    def _forward_float(self, x, training, bipolar_input) -> np.ndarray:
         """Float32 matmul (pre-hook, pre-bias)."""
-        qx = self.input_quantizer.quantize(x) if self.input_quantizer else x
+        qx = self._quantize_input(x, bipolar_input)
         qkernel = self._quantize_kernel()
         out = qx @ qkernel
         if self.product_fault_hook is not None:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.ops import bipolar
+
 __all__ = ["Quantizer", "SteSign", "ApproxSign", "MagnitudeAwareSign", "get"]
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
     """Bipolar sign with sign(0) = +1 (Larq convention)."""
-    return np.where(x >= 0, 1.0, -1.0).astype(np.float32)
+    return bipolar(x >= 0)
 
 
 class Quantizer:

@@ -42,7 +42,10 @@ Redundant-work elimination
   faults) the split layer's GEMM does not depend on the plan: the layer
   memoizes its clean GEMM output per batch in the same cache and applies
   each plan's output hook on top, so a campaign runs that GEMM once per
-  batch.
+  batch;
+* the suffix is compiled once per split (:mod:`repro.binary.tail`): a
+  batch-norm between two mapped layers emits ±1 through one
+  integer-threshold compare, and the next layer skips re-quantizing.
 
 The evaluator takes a **defensive snapshot** of the test set at
 construction: mutating the caller's arrays afterwards can never desync the
@@ -110,6 +113,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..binary.layers import QuantLayer
+from ..binary.tail import compile_tail
 from ..nn.model import Sequential
 from .faults import FaultSpec
 from .generator import FaultGenerator, FaultPlan, mapped_layers
@@ -248,7 +253,18 @@ class CampaignEvaluator:
         self.y_test = np.array(y_test) if copy_data else y_test.view()
         self.y_test.flags.writeable = False
         self.injector = FaultInjector(continue_time_across_layers)
+        #: the layers whose backend and input-cache owner every
+        #: evaluation scopes, collected once instead of once per cell
+        self._quant_layers = [layer for layer in model.all_layers()
+                              if isinstance(layer, QuantLayer)]
+        #: input-cache slots per layer: each test batch may hold an input
+        #: representation and a clean GEMM output (plus one slot of
+        #: headroom), so neither evicts the other within a campaign
+        self._cache_slots = max(
+            8, 3 * math.ceil(len(self.x_test) / batch_size))
         self._baseline: float | None = None
+        #: split -> compiled suffix steps (see repro.binary.tail)
+        self._tails: dict[int, list] = {}
         #: (split, shard, n_shards) -> list of (activation batch, label batch)
         self._suffix_batches: dict[tuple[int, int, int],
                                    list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -278,6 +294,7 @@ class CampaignEvaluator:
         """
         self._baseline = None
         self._suffix_batches.clear()
+        self._tails.clear()
         self._plane_fingerprint = None
         _strip_transient_state(self.model)
 
@@ -288,64 +305,39 @@ class CampaignEvaluator:
         representations or the layers' kernel caches."""
         self._baseline = None
         self._suffix_batches.clear()
+        self._tails.clear()
         self._plane_fingerprint = None
-        for layer in self.model.all_layers():
-            cache = getattr(layer, "_input_cache", None)
-            if hasattr(cache, "drop_owner"):
-                cache.drop_owner(self._cache_token)
-
-    @contextmanager
-    def _backend_scope(self):
-        """Run with this evaluator's backend, restore the previous one after.
-
-        The campaign must not permanently re-mode a shared model — two
-        campaigns with different backends on one model would otherwise
-        silently override each other.
-        """
-        previous = [(layer, layer.execution_backend)
-                    for layer in self.model.all_layers()
-                    if hasattr(layer, "execution_backend")]
-        self.model.set_execution_backend(self.backend)
-        try:
-            yield
-        finally:
-            for layer, saved in previous:
-                layer.execution_backend = saved
+        for layer in self._quant_layers:
+            layer._input_cache.drop_owner(self._cache_token)
 
     @contextmanager
     def _evaluation_scope(self):
         """Backend + cache-ownership scope for one evaluation.
 
-        Besides selecting the execution backend, the scope registers this
-        evaluator as the budget owner of every layer's input cache, sized
-        to the campaign: enough slots for all test batches (instead of the
-        ad-hoc 8-slot default) under the ``cache_bytes`` cap.  Ownership
-        is restored afterwards, so interleaved campaigns on one model
-        charge their own budgets and never evict each other's entries.
+        The scope selects this evaluator's execution backend and registers
+        it as the budget owner of every layer's input cache, sized to the
+        campaign: enough slots for all test batches (instead of the ad-hoc
+        8-slot default) under the ``cache_bytes`` cap.  Both are restored
+        afterwards: the campaign must not permanently re-mode a shared
+        model, and interleaved campaigns on one model charge their own
+        budgets and never evict each other's entries.
         """
-        owned: list[tuple] = []
-        for layer in self.model.all_layers():
-            cache = getattr(layer, "_input_cache", None)
-            if hasattr(cache, "configure"):
-                self._configure_cache(cache)
-                owned.append((layer, layer._cache_owner))
-                layer._cache_owner = self._cache_token
+        saved = [(layer, layer.execution_backend, layer._cache_owner)
+                 for layer in self._quant_layers]
+        for layer in self._quant_layers:
+            self._configure_cache(layer._input_cache)
+            layer.execution_backend = self.backend
+            layer._cache_owner = self._cache_token
         try:
-            with self._backend_scope():
-                yield
+            yield
         finally:
-            for layer, saved in owned:
-                layer._cache_owner = saved
+            for layer, backend, owner in saved:
+                layer.execution_backend = backend
+                layer._cache_owner = owner
 
     def _configure_cache(self, cache) -> None:
-        """Register this evaluator's budget in one layer's input cache.
-
-        Each test batch may hold an input representation and a clean GEMM
-        output (plus one slot of headroom), so neither evicts the other
-        within a campaign.
-        """
-        n_batches = math.ceil(len(self.x_test) / self.batch_size)
-        cache.configure(self._cache_token, slots=max(8, 3 * n_batches),
+        """Register this evaluator's budget in one layer's input cache."""
+        cache.configure(self._cache_token, slots=self._cache_slots,
                         max_bytes=self.cache_bytes)
 
     def input_cache_stats(self, tag: str | None = None) -> dict:
@@ -370,13 +362,11 @@ class CampaignEvaluator:
             model report independent statistics.
         """
         totals = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
-        for layer in self.model.all_layers():
-            cache = getattr(layer, "_input_cache", None)
-            if hasattr(cache, "stats"):
-                for key, value in cache.stats(self._cache_token,
-                                              tag).items():
-                    if key in totals:
-                        totals[key] += value
+        for layer in self._quant_layers:
+            for key, value in layer._input_cache.stats(self._cache_token,
+                                                       tag).items():
+                if key in totals:
+                    totals[key] += value
         lookups = totals["hits"] + totals["misses"]
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
         return totals
@@ -401,14 +391,8 @@ class CampaignEvaluator:
         """Index of the first top-level layer whose subtree contains any of
         ``layer_names`` — everything before it is fault-free for sure."""
         names = set(layer_names)
-
-        def contains(layer) -> bool:
-            if layer.name in names:
-                return True
-            return any(contains(child) for child in layer.sub_layers())
-
         for index, layer in enumerate(self.model.layers):
-            if contains(layer):
+            if any(nested.name in names for nested in layer.walk()):
                 return index
         return len(self.model.layers)
 
@@ -520,15 +504,24 @@ class CampaignEvaluator:
         for (z, _), (tag, value) in zip(batches, reps):
             cache.put(tag, z, value, owner=self._cache_token)
 
+    def _tail_for(self, split: int) -> list[tuple]:
+        """``model.layers[split:]`` compiled once per split (and again
+        only after the weights change): batch-norms between mapped layers
+        binarize through integer thresholds (:mod:`repro.binary.tail`)."""
+        steps = self._tails.get(split)
+        if steps is None:
+            steps = self._tails[split] = compile_tail(self.model.layers[split:])
+        return steps
+
     def _suffix_counts(self, split: int, shard: int = 0, n_shards: int = 1
                        ) -> tuple[int, int]:
-        suffix = self.model.layers[split:]
+        steps = self._tail_for(split)
         correct = 0
         total = 0
         for z, labels in self._batches_for(split, shard, n_shards):
             out = z
-            for layer in suffix:
-                out = layer.forward(out, training=False)
+            for layer, kwargs in steps:
+                out = layer.forward(out, training=False, **kwargs)
             correct += int((out.argmax(axis=-1) == labels).sum())
             total += len(labels)
         return correct, total

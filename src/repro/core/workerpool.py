@@ -54,7 +54,13 @@ class WorkerPool(ProcessPoolExecutor):
         pids: set[int] = set()
         while not self._pid_queue.empty():
             pids.add(self._pid_queue.get())
-        for process in multiprocessing.active_children():
-            if process.pid in pids:
-                process.kill()
+        killed = [process for process in multiprocessing.active_children()
+                  if process.pid in pids]
+        for process in killed:
+            process.kill()
+        # reap them before returning: the executor's manager thread fails
+        # the running futures first and joins its workers only later, so
+        # a caller woken by BrokenProcessPool could still see them alive
+        for process in killed:
+            process.join(timeout=5)
         self.shutdown(wait=False, cancel_futures=True)

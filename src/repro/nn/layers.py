@@ -65,6 +65,13 @@ class Layer:
         """Child layers of composite layers (empty for leaves)."""
         return []
 
+    def walk(self) -> list["Layer"]:
+        """This layer and every nested child, depth-first, parents first."""
+        result = [self]
+        for child in self.sub_layers():
+            result.extend(child.walk())
+        return result
+
     # -- computation ---------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -202,7 +209,16 @@ class BatchNorm(Layer):
     def _axes(self, x: np.ndarray) -> tuple[int, ...]:
         return tuple(range(x.ndim - 1))
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, thresholds=None):
+        """Normalized ``x``; or, given ``thresholds`` (inference only, a
+        :meth:`sign_thresholds` result), ``sign`` of it as ±1 float32
+        through one integer-threshold compare per element."""
+        if thresholds is not None:
+            threshold, flip = thresholds
+            mask = x >= threshold
+            if flip is not None:
+                mask ^= flip
+            return ops.bipolar(mask)
         axes = self._axes(x)
         if training:
             mean = x.mean(axis=axes)
@@ -218,6 +234,31 @@ class BatchNorm(Layer):
         if training:
             self._cache = (x_hat, inv_std)
         return out
+
+    def sign_thresholds(self, k: int) -> tuple | None:
+        """Per-channel ``(threshold, flip)`` with ``(v >= threshold) ^ flip``
+        equal to ``forward(v) >= 0`` for every integer ``v`` in ``[-k, k]``
+        and for -0.0, or ``None`` when no such pair exists.  ``flip`` is
+        ``None`` when no channel falls (the common ``gamma > 0`` case).
+
+        The thresholds come from running this layer's own inference
+        arithmetic on those points, so the compare reproduces
+        ``sign(forward(v))`` bit for bit by construction.  Every float32
+        op of that arithmetic is monotone, so each channel is a step: a
+        rising one (``flip`` False), or a falling one (``flip`` True, the
+        threshold one past its last +1).  The reduction is verified on
+        every point before it is returned.
+        """
+        values = np.append(np.arange(-k, k + 1), -0.0).astype(np.float32)
+        grid = np.repeat(values[:, None], self.params["gamma"].size, axis=1)
+        # the class's arithmetic, not an instance-level wrapper of forward
+        positive = type(self).forward(self, grid) >= 0
+        count = positive[:-1].sum(axis=0)
+        flip = positive[0] & ~positive[-2]
+        threshold = np.where(flip, count - k, k + 1 - count).astype(np.float32)
+        if not np.array_equal((grid >= threshold) ^ flip, positive):
+            return None
+        return threshold, (flip if flip.any() else None)
 
     def backward(self, dout):
         x_hat, inv_std = self._cache
@@ -260,7 +301,7 @@ class Sign(Layer):
     def forward(self, x, training=False):
         if training:
             self._cache = x
-        return np.where(x >= 0, 1.0, -1.0).astype(np.float32)
+        return ops.bipolar(x >= 0)
 
     def backward(self, dout):
         return dout * (np.abs(self._cache) <= 1.0)

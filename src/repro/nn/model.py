@@ -42,17 +42,13 @@ class Sequential:
         return self
 
     def all_layers(self) -> list[Layer]:
-        """All layers, flattened depth-first (parents before children)."""
-        result: list[Layer] = []
+        """All layers, flattened depth-first (parents before children).
 
-        def visit(layer: Layer):
-            result.append(layer)
-            for child in layer.sub_layers():
-                visit(child)
-
-        for layer in self.layers:
-            visit(layer)
-        return result
+        Built without a self-referencing nested function: such a closure
+        is a reference cycle, which would keep the returned layers (and
+        their memoized inputs) alive until the cyclic collector runs.
+        """
+        return [nested for layer in self.layers for nested in layer.walk()]
 
     def layers_of_type(self, cls) -> list[Layer]:
         """All (possibly nested) layers that are instances of ``cls``."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "bipolar",
     "conv_output_size",
     "same_padding",
     "pad_nhwc",
@@ -25,6 +26,19 @@ __all__ = [
     "avgpool2d",
     "avgpool2d_backward",
 ]
+
+
+def bipolar(mask: np.ndarray) -> np.ndarray:
+    """Boolean ``mask`` as bipolar float32: True -> +1, False -> -1.
+
+    ``bipolar(x >= 0)`` is the Larq sign (``sign(0) = +1``, NaN -> -1).
+    One float32 cast and two in-place passes: no float64 temporary, unlike
+    ``np.where(mask, 1.0, -1.0).astype(np.float32)``.
+    """
+    out = mask.astype(np.float32)
+    out *= 2
+    out -= 1
+    return out
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad_total: int) -> int:

@@ -1,5 +1,8 @@
 """Tests for the Sequential container: build, predict, persistence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -77,3 +80,18 @@ def test_layers_of_type():
     model = make_mlp().build((8,), seed=0)
     assert len(model.layers_of_type(nn.Dense)) == 2
     assert len(model.layers_of_type(nn.BatchNorm)) == 1
+
+
+def test_all_layers_leaves_no_reference_cycle():
+    """A dropped model is freed at once, not at the next cyclic
+    collection: its layers may pin megabytes of memoized inputs."""
+    model = make_mlp().build((8,), seed=0)
+    assert [type(layer) for layer in model.all_layers()] == [
+        nn.Dense, nn.BatchNorm, nn.ReLU, nn.Dense]
+    layer = weakref.ref(model.layers[1])
+    gc.disable()
+    try:
+        del model
+        assert layer() is None
+    finally:
+        gc.enable()
