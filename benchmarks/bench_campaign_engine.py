@@ -7,9 +7,8 @@ binary LeNet / synthetic MNIST) through
   per-repetition fault generation inside the loop, a fresh injector
   mapping per attach, a full ``model.evaluate`` per repetition and a
   baseline recomputation per ``run()``;
-* the job-based **engine** (``repro.core.engine``) in every
-  executor × backend combination (serial / multiprocessing /
-  shared_memory × float / packed).
+* the job-based **engine** (``repro.core.engine``) on every executor
+  (serial / multiprocessing / shared_memory).
 
 Besides wall-clock speedups the JSON tracks the **payload bytes** each
 pool executor pickles into a worker (shared memory must beat the pickled
@@ -138,24 +137,20 @@ def main(argv=None) -> int:
     prefix_planes: dict[str, dict] = {}
     resilience: dict[str, dict] = {}
     mismatches: list[str] = []
-    for executor, backend in [("serial", "float"), ("serial", "packed"),
-                              ("multiprocessing", "float"),
-                              ("multiprocessing", "packed"),
-                              ("shared_memory", "float"),
-                              ("shared_memory", "packed")]:
+    for executor in ("serial", "multiprocessing", "shared_memory"):
         campaign = FaultCampaign(model, test.x, test.y, executor=executor,
-                                 n_jobs=n_jobs, backend=backend)
+                                 n_jobs=n_jobs)
         result, duration = timed(
             campaign.run, FaultSpec.bitflip, xs=rates, repeats=repeats,
             seed=seed)
-        key = f"engine_{executor}_{backend}"
+        key = f"engine_{executor}"
         timings[key] = duration
         shipped = getattr(campaign._executor, "payload_bytes", None)
         if shipped is not None:
-            payload_bytes[f"{executor}_{backend}"] = shipped
+            payload_bytes[executor] = shipped
         planes = result.meta.get("prefix_plane")
         if planes is not None:
-            prefix_planes[f"{executor}_{backend}"] = planes
+            prefix_planes[executor] = planes
         # a timing measured through retries, rebuilds or a degraded rung
         # is not a timing of the named executor — record and reject it
         # (the zeroed resilience block is always attached; only nonzero
@@ -167,7 +162,7 @@ def main(argv=None) -> int:
                      or interference.get("quarantined")
                      or interference.get("degraded"))
         if disturbed:
-            resilience[f"{executor}_{backend}"] = interference
+            resilience[executor] = interference
             mismatches.append(f"supervision_interfered_{key}")
             print(f"FAIL: supervision interfered with {key}: "
                   f"{interference}", file=sys.stderr)
@@ -175,24 +170,22 @@ def main(argv=None) -> int:
                      and result.baseline == seed_baseline)
         if not identical:
             mismatches.append(key)
-        print(f"engine {executor:16s}/{backend:6s}: {duration:7.2f} s  "
+        print(f"engine {executor:21s}: {duration:7.2f} s  "
               f"bit-identical={identical}"
               + (f"  payload={shipped}B" if shipped else "")
               + (f"  planes={planes['batches']}" if planes else ""))
         campaign.close()  # unlink the published shared-memory planes
-    model.set_execution_backend("float")
 
     # the shared-memory executor must have published prefix activation
     # planes for the workers to attach (no per-worker prefix recompute)
-    for key in ("shared_memory_float", "shared_memory_packed"):
-        planes = prefix_planes.get(key)
-        if not planes or planes.get("batches", 0) <= 0:
-            mismatches.append(f"prefix_planes_missing_{key}")
-            print(f"FAIL: no prefix activation planes published for {key}",
-                  file=sys.stderr)
+    planes = prefix_planes.get("shared_memory")
+    if not planes or planes.get("batches", 0) <= 0:
+        mismatches.append("prefix_planes_missing_shared_memory")
+        print("FAIL: no prefix activation planes published for "
+              "shared_memory", file=sys.stderr)
 
-    shm_payload = payload_bytes.get("shared_memory_float")
-    mp_payload = payload_bytes.get("multiprocessing_float")
+    shm_payload = payload_bytes.get("shared_memory")
+    mp_payload = payload_bytes.get("multiprocessing")
     if shm_payload and mp_payload and shm_payload >= mp_payload:
         mismatches.append("shared_memory_payload_not_smaller")
         print(f"FAIL: shared-memory payload ({shm_payload} B) does not "
@@ -218,9 +211,9 @@ def main(argv=None) -> int:
             and resumed.meta["resumed_cells"] == len(rates) * repeats)
         if not resume_identical:
             mismatches.append("journal_resume")
-    timings["engine_serial_float_journaled"] = journal_time
+    timings["engine_serial_journaled"] = journal_time
     timings["journal_full_resume"] = resume_time
-    print(f"journaled serial/float      : {journal_time:7.2f} s  "
+    print(f"journaled serial            : {journal_time:7.2f} s  "
           f"(full resume {resume_time:.3f} s, "
           f"bit-identical={resume_identical})")
 
@@ -235,7 +228,7 @@ def main(argv=None) -> int:
         campaign.run, FaultSpec.bitflip, xs=rates, repeats=repeats,
         seed=seed)
     cache_stats = campaign.input_cache_stats()
-    timings["engine_serial_float_small_batches"] = cache_time
+    timings["engine_serial_small_batches"] = cache_time
     # static bit-flips are batch-size independent: the small-batch grid
     # must still reproduce the seed accuracies bit-for-bit
     if not np.array_equal(cache_result.accuracies, seed_acc):
@@ -249,8 +242,8 @@ def main(argv=None) -> int:
           f"({cache_stats['hits']} hits / {cache_stats['misses']} misses, "
           f"{cache_stats['bytes']} B pinned)")
 
-    # telemetry overhead: the obs layer must be ~free.  The serial/float
-    # grid runs instrumented (a fresh Observability per run — campaign/
+    # telemetry overhead: the obs layer must be ~free.  The serial grid
+    # runs instrumented (a fresh Observability per run — campaign/
     # plan/dispatch/reduce spans, one evaluate span and counter update
     # per cell) and shielded (ambient observability explicitly
     # deactivated).  One quick grid is a few tens of milliseconds, so a
@@ -305,14 +298,9 @@ def main(argv=None) -> int:
             for k, v in timings.items()
             if k not in ("seed_serial", "journal_full_resume")},
         "serial_vs_parallel": round(
-            timings["engine_serial_float"]
-            / timings["engine_multiprocessing_float"], 2),
+            timings["engine_serial"] / timings["engine_multiprocessing"], 2),
         "serial_vs_shared_memory": round(
-            timings["engine_serial_float"]
-            / timings["engine_shared_memory_float"], 2),
-        "float_vs_packed": round(
-            timings["engine_serial_float"] / timings["engine_serial_packed"],
-            2),
+            timings["engine_serial"] / timings["engine_shared_memory"], 2),
         "payload_bytes": payload_bytes,
         "prefix_plane": prefix_planes,
         "resilience": resilience,  # empty on a clean (undisturbed) run
@@ -326,8 +314,8 @@ def main(argv=None) -> int:
         },
         "journal": {
             "overhead_s": round(
-                timings["engine_serial_float_journaled"]
-                - timings["engine_serial_float"], 4),
+                timings["engine_serial_journaled"]
+                - timings["engine_serial"], 4),
             "full_resume_s": round(timings["journal_full_resume"], 4),
         },
         "telemetry_overhead": {

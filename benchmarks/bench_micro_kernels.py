@@ -1,7 +1,7 @@
 """Micro-benchmarks of the computational kernels.
 
 Not a paper figure — these quantify the building blocks that make FLIM's
-fast path fast: binary GEMM formulations, the binary tail between mapped
+fast path fast: the bipolar float GEMM, the binary tail between mapped
 layers, mask generation/application and the device-level gate program
 they replace.
 """
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.binary import bitops
 from repro.core import FaultSpec, assemble_layer_masks
 from repro.core.semantics import apply_output_flips
 from repro.lim import Crossbar, CrossbarConfig, ideal_device_params
@@ -27,13 +26,6 @@ def test_bench_float_binary_gemm(benchmark, rng):
     a = rng.choice([-1.0, 1.0], size=(256, 512)).astype(np.float32)
     b = rng.choice([-1.0, 1.0], size=(512, 128)).astype(np.float32)
     benchmark(lambda: a @ b)
-
-
-def test_bench_packed_xnor_gemm(benchmark, rng):
-    """Bit-packed XNOR/popcount GEMM — the bit-exact integer formulation."""
-    a = rng.choice([-1.0, 1.0], size=(256, 512)).astype(np.float32)
-    b = rng.choice([-1.0, 1.0], size=(512, 128)).astype(np.float32)
-    benchmark(lambda: bitops.binary_matmul(a, b))
 
 
 def test_bench_im2col_conv(benchmark, rng):

@@ -1,8 +1,8 @@
 """Scenario-subsystem benchmark: compiled grids through the engine.
 
-Runs a zoo lifetime scenario (``end-of-life``) through every
-executor × backend combination and fails (exit 1) unless all
-trajectories are bit-identical to the serial float reference — the
+Runs a zoo lifetime scenario (``end-of-life``) through every executor
+and fails (exit 1) unless all trajectories are bit-identical to the
+serial reference — the
 compiled-grid path must inherit the engine's determinism contract
 wholesale.  Also measures:
 
@@ -88,13 +88,11 @@ def main(argv=None) -> int:
     timings: dict[str, float] = {"compile_s": compile_time}
     mismatches: list[str] = []
     reference = None
-    for executor, backend in [("serial", "float"), ("serial", "packed"),
-                              ("multiprocessing", "float"),
-                              ("shared_memory", "packed")]:
+    for executor in ("serial", "multiprocessing", "shared_memory"):
         result, duration = timed(
             run_scenario, scenario, model, test.x, test.y, repeats=repeats,
-            seed=seed, executor=executor, n_jobs=n_jobs, backend=backend)
-        key = f"{executor}_{backend}"
+            seed=seed, executor=executor, n_jobs=n_jobs)
+        key = executor
         timings[key] = duration
         if reference is None:
             reference = result
@@ -105,9 +103,8 @@ def main(argv=None) -> int:
                          and result.baseline == reference.baseline)
         if not identical:
             mismatches.append(key)
-        print(f"scenario {executor:16s}/{backend:6s}: {duration:7.2f} s  "
+        print(f"scenario {executor:18s}: {duration:7.2f} s  "
               f"bit-identical={identical}")
-    model.set_execution_backend("float")
 
     # correlation effect: clustered placement vs an i.i.d. twin at the
     # exact same per-checkpoint rates
@@ -142,7 +139,7 @@ def main(argv=None) -> int:
             mismatches.append("journal_resume")
     timings["journaled"] = journal_time
     timings["journal_full_resume"] = resume_time
-    print(f"journaled serial/float     : {journal_time:7.2f} s "
+    print(f"journaled serial           : {journal_time:7.2f} s "
           f"(full resume {resume_time:.3f} s)")
 
     # API-layer parity: the registered entry streams typed events over

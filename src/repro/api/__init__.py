@@ -20,7 +20,6 @@ Streaming consumption::
     handle = api.submit(api.RunRequest("end-of-life",
                                        params={"repeats": 2},
                                        executor="shared_memory", n_jobs=4,
-                                       backend="packed",
                                        journal="eol.jsonl"))
     handle.subscribe(print)          # CellDone / CheckpointDone / ...
     report = handle.run()
@@ -44,7 +43,7 @@ from .handle import RunContext, RunHandle
 from .registry import (REGISTRY, Experiment, ExperimentRegistry, Param,
                        experiment)
 from .report import RunReport, SeriesReport
-from .request import BACKENDS, EXECUTORS, RunRequest
+from .request import EXECUTORS, RunRequest
 
 __all__ = [
     "ApiError",
@@ -52,7 +51,7 @@ __all__ = [
     "JobRetried", "JobQuarantined", "WorkerLost", "ExecutorDegraded",
     "JobStateChanged", "TelemetrySnapshot", "RunFinished",
     "Param", "Experiment", "ExperimentRegistry", "REGISTRY", "experiment",
-    "RunRequest", "EXECUTORS", "BACKENDS",
+    "RunRequest", "EXECUTORS",
     "RunReport", "SeriesReport",
     "RunContext", "RunHandle",
     "submit", "run", "experiment_names", "describe",
@@ -93,8 +92,8 @@ def run(experiment: str, params: dict | None = None, *, on_event=None,
     """One-call convenience: build the request, run it, return the report.
 
     ``options`` are the :class:`RunRequest` engine fields (``executor``,
-    ``n_jobs``, ``backend``, ``cache_bytes``, ``journal``, ``resume``,
-    ``quick``); ``on_event`` subscribes a callback before running.
+    ``n_jobs``, ``cache_bytes``, ``journal``, ``resume``, ``quick``);
+    ``on_event`` subscribes a callback before running.
     """
     handle = submit(RunRequest(experiment=experiment,
                                params=dict(params or {}), **options))

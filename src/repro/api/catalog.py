@@ -64,7 +64,6 @@ def _multi_meta(results: dict) -> dict:
     """Aggregate bookkeeping over a ``{label: SweepResult}`` family."""
     first = next(iter(results.values()))
     meta = {"executor": first.meta.get("executor"),
-            "backend": first.meta.get("backend"),
             "series": list(results)}
     resumed = [r.meta["resumed_cells"] for r in results.values()
                if "resumed_cells" in r.meta]
@@ -265,7 +264,7 @@ def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
     from ..experiments import fig4
     if ctx.request.executor != "serial":
         ctx.warn("fig4f is a wall-clock runtime measurement; it always "
-                 "runs serially and ignores executor/backend options")
+                 "runs serially and ignores executor options")
     if model == "tiny":
         workload, test = _tiny_runtime_workload(seed)
     else:

@@ -104,7 +104,6 @@ class RunContext:
         """Keyword arguments for :class:`~repro.core.FaultCampaign` (and
         the drivers that forward to it)."""
         return {"executor": self.executor, "n_jobs": self.request.n_jobs,
-                "backend": self.request.backend,
                 "cache_bytes": self.request.cache_bytes}
 
     def close(self) -> None:

@@ -2,8 +2,8 @@
 
 A :class:`RunRequest` is everything one experiment run needs, in one
 validated value: the registry name, its parameters, and the engine
-options every workload shares (executor, worker count, inference
-backend, cache cap, journal).  Experiment parameters are validated
+options every workload shares (executor, worker count, cache cap,
+journal).  Experiment parameters are validated
 against the registry entry at submit time; the engine options are
 validated here, eagerly, so a malformed request fails before any model
 loads.
@@ -17,12 +17,10 @@ from pathlib import Path
 
 from .errors import ApiError
 
-__all__ = ["RunRequest", "EXECUTORS", "BACKENDS"]
+__all__ = ["RunRequest", "EXECUTORS"]
 
 #: executor names the engine resolves (see repro.core.engine)
-EXECUTORS = ("serial", "multiprocessing", "shared_memory", "shm")
-#: inference backends (see repro.binary.layers)
-BACKENDS = ("float", "packed")
+EXECUTORS = ("serial", "multiprocessing", "shared_memory")
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class RunRequest:
         Experiment parameters; values may be CLI strings (coerced
         against the declared :class:`~repro.api.registry.Param` kinds)
         or real Python values.  Unknown names are refused at submit.
-    executor / n_jobs / backend / cache_bytes:
+    executor / n_jobs / cache_bytes:
         The engine options of :class:`repro.core.FaultCampaign`,
         identical semantics.
     journal:
@@ -70,7 +68,6 @@ class RunRequest:
     params: Mapping = field(default_factory=dict)
     executor: str = "serial"
     n_jobs: int | None = None
-    backend: str = "float"
     cache_bytes: int | None = None
     journal: str | Path | None = None
     resume: bool = False
@@ -87,10 +84,7 @@ class RunRequest:
                            f"{type(self.params).__name__}")
         if isinstance(self.executor, str) and self.executor not in EXECUTORS:
             raise ApiError(f"unknown executor {self.executor!r}; "
-                           f"use one of {list(EXECUTORS[:3])}")
-        if self.backend not in BACKENDS:
-            raise ApiError(f"unknown backend {self.backend!r}; "
-                           f"use one of {list(BACKENDS)}")
+                           f"use one of {list(EXECUTORS)}")
         if self.n_jobs is not None and (not isinstance(self.n_jobs, int)
                                         or self.n_jobs < 0):
             raise ApiError(f"n_jobs must be a non-negative int or None, "
@@ -117,7 +111,6 @@ class RunRequest:
         return {
             "executor": self.executor,
             "n_jobs": self.n_jobs,
-            "backend": self.backend,
             "cache_bytes": self.cache_bytes,
             "journal": str(self.journal) if self.journal else None,
             "resume": self.resume,

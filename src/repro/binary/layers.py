@@ -27,42 +27,23 @@ DESIGN.md §3:
     can be corrupted.  Slower (forces the explicit GEMM formulation);
     used for verification and ablation.
 
-Execution backends
-------------------
-Every quantized layer carries an ``execution_backend`` attribute:
-
-``"float"`` (default)
-    im2col + float32 GEMM.  Exact: every partial sum of ±1 terms is a
-    small integer, so float32 accumulation never rounds.
-
-``"packed"``
-    The inference fast path: operands are bit-packed 64-per-uint64 word
-    and the GEMM runs as XNOR + popcount
-    (:func:`repro.binary.bitops.packed_matmul_words`), the arithmetic the
-    LIM crossbar natively performs.  Weights are packed once per fault
-    plan and cached; activations are packed per batch.  The packed path is
-    bit-identical to the float path and composes with the kernel and
-    output fault hooks (weight stuck-at masks are applied to the binary
-    kernel *before* packing).  Layers fall back to the float path
-    automatically whenever packed semantics cannot express the
-    computation: during training, when a product-level hook is attached,
-    when a quantizer is not strictly binary (XNOR-Net's magnitude-aware
-    gain), or for ``same``-padded convolutions (zero padding has no
-    bipolar encoding).
+The GEMM is im2col + float32 matmul.  It is exact: every partial sum of
+±1 terms is a small integer, so float32 accumulation never rounds, and it
+matches the XNOR/popcount arithmetic of the crossbar
+(:mod:`repro.binary.bitops`, the reference the tests compare against).
 
 Inference input caching: when a layer sees a *read-only* input array
 (``x.flags.writeable == False``) at inference time, it memoizes the
-derived im2col / packed representation keyed on array identity.  The
-campaign engine exploits this by replaying the same read-only activation
-batches across repetitions — the expensive patch extraction and packing
-then happen once per campaign instead of once per repetition.  When the
-output hook is the only fault hook attached, the GEMM beneath the hook
-does not depend on the fault plan either, so the layer also memoizes the
-clean (pre-hook, pre-bias) GEMM result per backend and applies the hook
-on top of it: the split layer of a campaign then runs one GEMM per batch
-per campaign.  Clean results depend on the weights, so
-``_invalidate_caches`` drops them.  Writeable arrays are never cached, so
-ordinary training/prediction is unaffected.
+derived im2col matrix keyed on array identity.  The campaign engine
+exploits this by replaying the same read-only activation batches across
+repetitions — the expensive patch extraction then happens once per
+campaign instead of once per repetition.  When the output hook is the
+only fault hook attached, the GEMM beneath the hook does not depend on
+the fault plan either, so the layer also memoizes the clean (pre-hook,
+pre-bias) GEMM result and applies the hook on top of it: the split layer
+of a campaign then runs one GEMM per batch per campaign.  Clean results
+depend on the weights, so ``_invalidate_caches`` drops them.  Writeable
+arrays are never cached, so ordinary training/prediction is unaffected.
 
 Binary tail: ``forward(x, bipolar_input=True)`` (inference only) declares
 ``x`` already ±1 and skips the input quantizer, which maps ±1 to itself.
@@ -86,7 +67,7 @@ import numpy as np
 
 from ..nn import initializers, ops
 from ..nn.layers import Layer
-from . import bitops, quantizers
+from . import quantizers
 
 __all__ = ["InputRepCache", "QuantLayer", "QuantConv2D", "QuantDense"]
 
@@ -95,9 +76,8 @@ __all__ = ["InputRepCache", "QuantLayer", "QuantConv2D", "QuantDense"]
 #: :meth:`InputRepCache.configure`
 _INPUT_CACHE_SLOTS = 8
 
-#: cache tags of the memoized clean GEMM output, one per backend so the
-#: packed path is never fed a float result (and vice versa)
-CLEAN_TAGS = {"float": "clean-float", "packed": "clean-packed"}
+#: cache tag of the memoized clean GEMM output
+CLEAN_TAG = "clean"
 
 
 def _rep_nbytes(value) -> int:
@@ -209,9 +189,9 @@ class InputRepCache:
         self._evict(owner)
 
     # -- eviction --------------------------------------------------------
-    def discard(self, tags) -> None:
-        """Drop every owner's entries tagged with one of ``tags``."""
-        self._entries = [e for e in self._entries if e[1] not in tags]
+    def discard(self, tag: str) -> None:
+        """Drop every owner's entries tagged ``tag``."""
+        self._entries = [e for e in self._entries if e[1] != tag]
 
     def drop_owner(self, owner) -> None:
         """Release one owner's entries, budget, and counters — other
@@ -253,8 +233,8 @@ class QuantLayer(Layer):
     GEMM result, which an in-place write fails on instead of corrupting.
     """
 
-    #: whether the float path memoizes an input representation (im2col)
-    #: that a clean-GEMM miss falls through to
+    #: whether the GEMM memoizes an input representation (im2col) that a
+    #: clean-GEMM miss falls through to
     _float_input_rep = False
 
     def __init__(self, input_quantizer=None, kernel_quantizer="ste_sign",
@@ -265,11 +245,8 @@ class QuantLayer(Layer):
         self.kernel_fault_hook = None
         self.output_fault_hook = None
         self.product_fault_hook = None
-        self.execution_backend = "float"
         self._built_input_shape: tuple[int, ...] | None = None
-        #: (kernel_fault_hook token, packed words | None, reduction length)
-        self._packed_kernel_cache: tuple | None = None
-        #: LRU store of derived input representations (im2col / packing)
+        #: LRU store of derived input representations (im2col)
         self._input_cache = InputRepCache()
         #: budget owner charged for cache traffic (set per evaluation by
         #: the campaign evaluator's scope; ``None`` = ad-hoc default)
@@ -283,8 +260,7 @@ class QuantLayer(Layer):
 
     def _invalidate_caches(self) -> None:
         """Drop derived-weight caches (call after in-place weight updates)."""
-        self._packed_kernel_cache = None
-        self._input_cache.discard(CLEAN_TAGS.values())
+        self._input_cache.discard(CLEAN_TAG)
 
     def _apply_kernel_hook(self, qkernel: np.ndarray) -> np.ndarray:
         if self.kernel_fault_hook is None:
@@ -312,21 +288,17 @@ class QuantLayer(Layer):
         """Quantized GEMM, fault hooks, bias.  ``bipolar_input`` (inference
         only) declares ``x`` already ±1, so the input quantizer is skipped:
         a sign quantizer maps ±1 to itself."""
-        if not training and self._packed_eligible():
-            out = self._clean_gemm("packed", x, lambda: self._forward_packed(x))
-        else:
-            out = self._clean_gemm(
-                "float", x,
-                lambda: self._forward_float(x, training, bipolar_input),
-                training)
+        out = self._clean_gemm(
+            x, lambda: self._forward_float(x, training, bipolar_input),
+            training)
         out = self._apply_output_hook(out)
         if self.use_bias:
             out = out + self.params["bias"]
         return out
 
-    def _clean_gemm(self, backend: str, x, compute, training=False):
+    def _clean_gemm(self, x, compute, training=False):
         """The pre-hook, pre-bias GEMM output ``compute()``, memoized per
-        ``(backend, x)`` when only an output hook is attached.
+        ``x`` when only an output hook is attached.
 
         Output-level faults act on the feature map after the GEMM, so for
         a read-only inference input the GEMM result is plan-independent:
@@ -337,47 +309,13 @@ class QuantLayer(Layer):
                 or self.kernel_fault_hook is not None
                 or self.product_fault_hook is not None):
             return compute()
-        tag = CLEAN_TAGS[backend]
-        fallthrough = backend == "packed" or self._float_input_rep
-        out = self._input_cache.get(tag, x, owner=self._cache_owner,
-                                    fallthrough=fallthrough)
+        out = self._input_cache.get(CLEAN_TAG, x, owner=self._cache_owner,
+                                    fallthrough=self._float_input_rep)
         if out is None:
             out = compute()
             out.flags.writeable = False
-            self._input_cache_put(tag, x, out)
+            self._input_cache_put(CLEAN_TAG, x, out)
         return out
-
-    # -- packed fast path -------------------------------------------------
-    def _packed_eligible(self) -> bool:
-        """Whether the packed XNOR/popcount backend can run this layer: a
-        strictly binary layer with no product hook whose (hooked) kernel
-        packs as bipolar words."""
-        return (self.execution_backend == "packed"
-                and self.product_fault_hook is None
-                and getattr(self.input_quantizer, "strictly_binary", False)
-                and getattr(self.kernel_quantizer, "strictly_binary", False)
-                and self._packed_kernel_words()[0] is not None)
-
-    def _packed_kernel_words(self) -> tuple[np.ndarray | None, int]:
-        """Packed (transposed) binary kernel, cached per fault-hook state.
-
-        The cache token is the kernel-hook object itself: attaching or
-        detaching a fault plan swaps the hook and thereby forces a repack,
-        while repeated inference under one plan packs exactly once.
-        Returns ``(None, 0)`` when the hooked kernel is not bipolar.
-        """
-        token = self.kernel_fault_hook
-        cache = self._packed_kernel_cache
-        if cache is not None and cache[0] is token:
-            return cache[1], cache[2]
-        qkernel = self._quantize_kernel()
-        flat = qkernel.reshape(-1, qkernel.shape[-1])
-        try:
-            words, length = bitops.pack_bipolar(np.ascontiguousarray(flat.T))
-        except ValueError:
-            words, length = None, 0
-        self._packed_kernel_cache = (token, words, length)
-        return words, length
 
     def _quantize_input(self, x, bipolar_input: bool) -> np.ndarray:
         if self.input_quantizer is None or bipolar_input:
@@ -483,28 +421,6 @@ class QuantConv2D(QuantLayer):
     def output_channels(self):
         return self.filters
 
-    def _packed_eligible(self) -> bool:
-        # ``same`` padding injects zeros into the im2col matrix, which have
-        # no bipolar encoding — only ``valid`` convolutions run packed
-        return self.padding == "valid" and super()._packed_eligible()
-
-    def _forward_packed(self, x) -> np.ndarray:
-        """Packed XNOR/popcount convolution (pre-hook, pre-bias)."""
-        kwords, length = self._packed_kernel_words()
-        cached = self._input_cache_get("packed", x)
-        if cached is None:
-            # sign-threshold first: im2col then gathers uint8, not float32,
-            # and packing happens directly from the {0,1} bit planes
-            bits = (x >= 0).astype(np.uint8)
-            cols_bits, (oh, ow) = ops.im2col(
-                bits, self.kernel_size, self.kernel_size, self.stride,
-                self.padding)
-            cached = (bitops.pack_bits(cols_bits), (oh, ow))
-            self._input_cache_put("packed", x, cached)
-        xwords, (oh, ow) = cached
-        flat = bitops.packed_matmul_words(xwords, kwords, length)
-        return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
-
     def _forward_float(self, x, training, bipolar_input) -> np.ndarray:
         """im2col + float32 GEMM (pre-hook, pre-bias)."""
         qkernel = self._quantize_kernel()
@@ -577,16 +493,6 @@ class QuantDense(QuantLayer):
     @property
     def output_channels(self):
         return self.units
-
-    def _forward_packed(self, x) -> np.ndarray:
-        """Packed XNOR/popcount matmul (pre-hook, pre-bias)."""
-        kwords, length = self._packed_kernel_words()
-        xwords = self._input_cache_get("packed", x)
-        if xwords is None:
-            xwords, _ = bitops.pack_sign(x)
-            self._input_cache_put("packed", x, xwords)
-        flat = bitops.packed_matmul_words(xwords, kwords, length)
-        return flat.astype(np.float32)
 
     def _forward_float(self, x, training, bipolar_input) -> np.ndarray:
         """Float32 matmul (pre-hook, pre-bias)."""

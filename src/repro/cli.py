@@ -142,7 +142,7 @@ def _cmd_run(args) -> int:
         experiment=args.experiment,
         params=_parse_param_tokens(args.param),
         executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
+        cache_bytes=_cache_bytes(args),
         journal=args.journal, resume=args.resume, quick=args.quick,
         retries=args.retries, job_timeout=args.job_timeout,
         degrade=not args.no_degrade)
@@ -162,7 +162,7 @@ def _print_report(report) -> None:
     header = f"experiment: {report.experiment}"
     if report.baseline is not None:
         header += f"  baseline: {100 * report.baseline:.1f}%"
-    header += f"  [{engine['executor']}/{engine['backend']}]"
+    header += f"  [{engine['executor']}]"
     print(header)
     resumed = report.meta.get("resumed_cells")
     for name, path in sorted(report.artifacts.items()):
@@ -269,7 +269,7 @@ def _cmd_submit(args) -> int:
         experiment=args.experiment,
         params=_parse_param_tokens(args.param),
         executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
+        cache_bytes=_cache_bytes(args),
         quick=args.quick, retries=args.retries,
         job_timeout=args.job_timeout, degrade=not args.no_degrade)
     record = _service_client(args).submit(request, durable=args.durable)
@@ -404,7 +404,7 @@ def _cmd_sweep(args) -> int:
                     repeats=args.repeats, images=args.images,
                     rows=args.rows, cols=args.cols),
         executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
+        cache_bytes=_cache_bytes(args),
         journal=args.journal, resume=args.resume,
         retries=args.retries, job_timeout=args.job_timeout,
         degrade=not args.no_degrade)
@@ -415,7 +415,7 @@ def _cmd_sweep(args) -> int:
         print(f"journal: {args.journal} "
               f"({result.meta['resumed_cells']} cells resumed)")
     print(f"baseline: {100 * result.baseline:.1f}%  "
-          f"[{result.meta['executor']}/{result.meta['backend']}]")
+          f"[{result.meta['executor']}]")
     rows = [(f"{x:g}", f"{100 * m:.1f}", f"{100 * s:.1f}")
             for x, m, s in result.as_rows()]
     print(markdown_table(["rate", "accuracy %", "std %"], rows))
@@ -462,7 +462,7 @@ def _cmd_scenarios_run(args) -> int:
                     images=args.images, rows=args.rows, cols=args.cols,
                     seed=args.seed),
         executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
+        cache_bytes=_cache_bytes(args),
         journal=args.journal, resume=args.resume,
         retries=args.retries, job_timeout=args.job_timeout,
         degrade=not args.no_degrade)
@@ -474,7 +474,7 @@ def _cmd_scenarios_run(args) -> int:
               f"({result.sweep.meta['resumed_cells']} cells resumed)")
     print(f"scenario: {result.scenario.name}  "
           f"baseline: {100 * result.baseline:.1f}%  "
-          f"[{result.meta['executor']}/{result.meta['backend']}]")
+          f"[{result.meta['executor']}]")
     multi = len(result.episodes) > 1
     header = ["age (cycles)", "stuck rate"]
     header += [f"{name} %" for name in result.episodes]
@@ -553,16 +553,12 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "--jobs<=1, multiprocessing otherwise); "
                              "shared_memory attaches the test set "
                              "zero-copy in every worker")
-    parser.add_argument("--backend", default="float",
-                        choices=["float", "packed"],
-                        help="inference backend: float GEMM or packed "
-                             "uint64 XNOR/popcount (bit-identical)")
     parser.add_argument("--cache-cap", type=int, default=None,
                         metavar="MiB",
                         help="byte cap (in MiB), per quantized layer, "
                              "for the campaign's derived "
-                             "input-representation cache (im2col / "
-                             "packed words); default 256")
+                             "input-representation cache (im2col); "
+                             "default 256")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="stream completed cells into a JSONL "
                              "journal; rerun with --resume to continue "
@@ -651,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--executor", default=None,
                           choices=["serial", "multiprocessing",
                                    "shared_memory"])
-    p_submit.add_argument("--backend", default="float",
-                          choices=["float", "packed"])
     p_submit.add_argument("--cache-cap", type=int, default=None,
                           metavar="MiB")
     p_submit.add_argument("--retries", type=int, default=2, metavar="N")

@@ -10,8 +10,7 @@ for aggregation.
 Execution is delegated to :mod:`repro.core.engine`: the sweep grid is
 flattened into independent jobs with pre-generated fault plans and run
 through a pluggable executor (``serial``, ``multiprocessing`` or
-``shared_memory``) on a float or bit-packed inference backend.  All
-combinations are bit-identical under fixed seeds.
+``shared_memory``).  All executors are bit-identical under fixed seeds.
 
 Campaigns can be **journaled**: ``run(..., journal=path)`` streams every
 completed cell into a JSONL file as it arrives, and a rerun with the same
@@ -110,11 +109,9 @@ class FaultCampaign:
     n_jobs:
         Worker count for the pool executors; ``None`` means
         ``os.cpu_count()`` (or the ``REPRO_N_JOBS`` environment variable).
-    backend:
-        ``"float"`` or ``"packed"`` — see :mod:`repro.binary.layers`.
     cache_bytes:
         Byte cap, per quantized layer, for this campaign's share of the
-        derived input-representation caches (im2col / packed words, and
+        derived input-representation caches (im2col matrices, and
         clean GEMM outputs under output-level faults);
         ``None`` selects
         :data:`repro.core.engine.DEFAULT_INPUT_CACHE_BYTES` (256 MiB).
@@ -141,20 +138,18 @@ class FaultCampaign:
                  rows: int = 40, cols: int = 10, batch_size: int = 256,
                  continue_time_across_layers: bool = True,
                  executor: str | object = "serial", n_jobs: int | None = None,
-                 backend: str = "float", cache_bytes: int | None = None,
-                 policy=None, obs=None):
+                 cache_bytes: int | None = None, policy=None, obs=None):
         self.obs = obs if obs is not None else _obs.current()
         self.model = model
         self.rows = rows
         self.cols = cols
         self.batch_size = batch_size
         self.continue_time = continue_time_across_layers
-        self.backend = backend
         self._executor = get_executor(executor, n_jobs, policy)
         self._evaluator = CampaignEvaluator(
             model, x_test, y_test, batch_size=batch_size,
             continue_time_across_layers=continue_time_across_layers,
-            backend=backend, cache_bytes=cache_bytes)
+            cache_bytes=cache_bytes)
         # aliases of the evaluator's snapshot — everything the campaign
         # evaluates, fingerprints, or ships to workers is this data, not
         # whatever the caller's arrays hold later
@@ -221,8 +216,8 @@ class FaultCampaign:
         seed : int
             Base seed.  Each cell's plan seed is the pure function
             ``seed + 7919*repeat + 104729*point`` of its grid coordinates,
-            so results are bit-identical across executors, backends,
-            scheduling orders, and resumed runs.
+            so results are bit-identical across executors, scheduling
+            orders, and resumed runs.
         layers : list of str, optional
             Restrict injection to these mapped layers (the paper's
             per-layer resilience study); ``None`` injects into all mapped
@@ -248,7 +243,7 @@ class FaultCampaign:
         -------
         SweepResult
             ``accuracies`` is float64 of shape ``(len(xs), repeats)``;
-            ``meta`` records executor/backend, journal bookkeeping,
+            ``meta`` records the executor, journal bookkeeping,
             prefix-plane metrics, and input-cache statistics.
         """
         xs = list(xs)
@@ -261,7 +256,6 @@ class FaultCampaign:
             header = {"xs": [float(x) for x in xs], "repeats": repeats,
                       "seed": seed, "rows": self.rows, "cols": self.cols,
                       "layers": list(layers) if layers is not None else None,
-                      "backend": self.backend,
                       "continue_time": self.continue_time,
                       "specs": [_describe_specs(spec_factory, x) for x in xs],
                       "fingerprint": self._fingerprint(),
@@ -283,7 +277,7 @@ class FaultCampaign:
                                 type(self._executor).__name__)
         try:
             with self._span("campaign", label=label, cells=total,
-                            executor=executor_name, backend=self.backend), \
+                            executor=executor_name), \
                     ExitStack() as tracing:
                 if obs is not None and journal_obj is not None:
                     # persist spans closing during this run as
@@ -334,7 +328,6 @@ class FaultCampaign:
                     meta = {"rows": self.rows, "cols": self.cols,
                             "repeats": repeats, "layers": layers,
                             "executor": executor_name,
-                            "backend": self.backend,
                             "input_cache":
                                 self._evaluator.input_cache_stats()}
                     prefix_plane = getattr(self._executor,

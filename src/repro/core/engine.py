@@ -37,7 +37,7 @@ Redundant-work elimination
   stack — roughly half the inference — in every repetition;
 * the read-only activation batches are *identically the same objects*
   across jobs, which arms the quantized layers' input-representation
-  caches (im2col / bit-packing reuse, see :mod:`repro.binary.layers`);
+  caches (im2col reuse, see :mod:`repro.binary.layers`);
 * under output-level faults (bit-flips, output stuck-at, row/column
   faults) the split layer's GEMM does not depend on the plan: the layer
   memoizes its clean GEMM output per batch in the same cache and applies
@@ -51,15 +51,6 @@ The evaluator takes a **defensive snapshot** of the test set at
 construction: mutating the caller's arrays afterwards can never desync the
 cached prefix activations from the data they were computed on.
 
-Packed vs float execution
--------------------------
-``backend="packed"`` switches the quantized layers to the XNOR/popcount
-fast path on packed uint64 words — the integer arithmetic the LIM
-crossbar natively performs.  The two backends are bit-identical (±1 sums
-are exact in float32); layers fall back to float automatically wherever
-packed semantics cannot express the computation (product-level hooks,
-non-strictly-binary quantizers, ``same`` padding, training).
-
 Executors
 ---------
 ``serial``
@@ -72,7 +63,7 @@ Executors
 ``shared_memory``
     Same pool, but the test set **and the parent's cached fault-free
     prefix activation batches** (plus the first suffix layer's derived
-    im2col/packed input representations) live in
+    im2col matrices) live in
     :mod:`multiprocessing.shared_memory` planes that workers attach
     **zero-copy** — the per-worker payload shrinks to the model plus a
     few block descriptors, independent of dataset size, and no worker
@@ -155,7 +146,7 @@ def fingerprint_data_and_weights(x_test: np.ndarray, y_test: np.ndarray,
     attachment (:meth:`CampaignEvaluator.plane_fingerprint`) — so the
     two checks can never drift apart in what they cover.  Returns the
     open hash object; callers append their context-specific fields
-    (grid geometry, backend, timing) before ``hexdigest()``.
+    (grid geometry, timing) before ``hexdigest()``.
     """
     digest = hashlib.sha1()
     for array in (x_test, y_test):
@@ -236,14 +227,9 @@ class CampaignEvaluator:
     def __init__(self, model: Sequential, x_test: np.ndarray,
                  y_test: np.ndarray, batch_size: int = 256,
                  continue_time_across_layers: bool = True,
-                 backend: str = "float", copy_data: bool = True,
-                 cache_bytes: int | None = None):
-        if backend not in ("float", "packed"):
-            raise ValueError(f"unknown execution backend {backend!r}; "
-                             "use 'float' or 'packed'")
+                 copy_data: bool = True, cache_bytes: int | None = None):
         self.model = model
         self.batch_size = batch_size
-        self.backend = backend
         #: per-layer byte cap for this evaluator's share of the derived
         #: input-representation caches (see repro.binary.layers)
         self.cache_bytes = (DEFAULT_INPUT_CACHE_BYTES if cache_bytes is None
@@ -253,8 +239,8 @@ class CampaignEvaluator:
         self.y_test = np.array(y_test) if copy_data else y_test.view()
         self.y_test.flags.writeable = False
         self.injector = FaultInjector(continue_time_across_layers)
-        #: the layers whose backend and input-cache owner every
-        #: evaluation scopes, collected once instead of once per cell
+        #: the layers whose input-cache owner every evaluation scopes,
+        #: collected once instead of once per cell
         self._quant_layers = [layer for layer in model.all_layers()
                               if isinstance(layer, QuantLayer)]
         #: input-cache slots per layer: each test batch may hold an input
@@ -302,7 +288,7 @@ class CampaignEvaluator:
         """Drop this evaluator's own memoized state — the baseline, the
         prefix activation batches, and *its* entries/budget in the
         layers' input caches — without touching other evaluators' cached
-        representations or the layers' kernel caches."""
+        representations."""
         self._baseline = None
         self._suffix_batches.clear()
         self._tails.clear()
@@ -312,27 +298,23 @@ class CampaignEvaluator:
 
     @contextmanager
     def _evaluation_scope(self):
-        """Backend + cache-ownership scope for one evaluation.
+        """Cache-ownership scope for one evaluation.
 
-        The scope selects this evaluator's execution backend and registers
-        it as the budget owner of every layer's input cache, sized to the
-        campaign: enough slots for all test batches (instead of the ad-hoc
-        8-slot default) under the ``cache_bytes`` cap.  Both are restored
-        afterwards: the campaign must not permanently re-mode a shared
-        model, and interleaved campaigns on one model charge their own
-        budgets and never evict each other's entries.
+        The scope registers this evaluator as the budget owner of every
+        layer's input cache, sized to the campaign: enough slots for all
+        test batches (instead of the ad-hoc 8-slot default) under the
+        ``cache_bytes`` cap.  The previous owners are restored afterwards,
+        so interleaved campaigns on one model charge their own budgets and
+        never evict each other's entries.
         """
-        saved = [(layer, layer.execution_backend, layer._cache_owner)
-                 for layer in self._quant_layers]
+        saved = [(layer, layer._cache_owner) for layer in self._quant_layers]
         for layer in self._quant_layers:
             self._configure_cache(layer._input_cache)
-            layer.execution_backend = self.backend
             layer._cache_owner = self._cache_token
         try:
             yield
         finally:
-            for layer, backend, owner in saved:
-                layer.execution_backend = backend
+            for layer, owner in saved:
                 layer._cache_owner = owner
 
     def _configure_cache(self, cache) -> None:
@@ -348,7 +330,7 @@ class CampaignEvaluator:
         ----------
         tag : str, optional
             Count only one cache tag (e.g. ``"cols"`` or the clean-GEMM
-            memo's ``"clean-float"``).  The default aggregate counts one
+            memo's ``"clean"``).  The default aggregate counts one
             lookup per cached forward pass (see
             :class:`~repro.binary.layers.InputRepCache`).
 
@@ -373,14 +355,14 @@ class CampaignEvaluator:
 
     def plane_fingerprint(self) -> str:
         """Digest identifying the activation planes this evaluator would
-        publish: test-set snapshot, model weights, batch geometry, backend
-        and injection timing.  Attaching a plane published under any other
+        publish: test-set snapshot, model weights, batch geometry and
+        injection timing.  Attaching a plane published under any other
         fingerprint is refused (like resuming a mismatched journal)."""
         self._check_weights_version()
         if self._plane_fingerprint is None:
             digest = fingerprint_data_and_weights(self.x_test, self.y_test,
                                                   self.model)
-            digest.update(f"{self.batch_size}|{self.backend}|"
+            digest.update(f"{self.batch_size}|"
                           f"{self.injector.continue_time_across_layers}"
                           .encode())
             self._plane_fingerprint = digest.hexdigest()
@@ -482,10 +464,10 @@ class CampaignEvaluator:
             One ``(activations, labels)`` pair per *global* test batch,
             in batch order; the activation arrays must be read-only.
         reps : list of (str, object), optional
-            The derived input representation (``"cols"`` im2col matrix or
-            ``"packed"`` uint64 words) of each batch for
-            ``model.layers[split]``, pre-seeding that layer's input cache
-            so even the one-time im2col/packing cost is shared.
+            The derived input representation (the ``"cols"`` im2col
+            matrix) of each batch for ``model.layers[split]``, pre-seeding
+            that layer's input cache so even the one-time im2col cost is
+            shared.
 
         The caller is responsible for the batches matching this
         evaluator's data and weights — plane publishers enforce that with
@@ -814,7 +796,6 @@ def _init_worker(payload: dict) -> None:
         payload["model"], payload["x_test"], payload["y_test"],
         batch_size=payload["batch_size"],
         continue_time_across_layers=payload["continue_time"],
-        backend=payload["backend"],
         copy_data=False)  # the pickled arrays are already process-private
 
 
@@ -822,8 +803,6 @@ def _attach_rep(registry: SharedPlaneRegistry, descriptor: dict
                 ) -> tuple[str, object]:
     """Rebuild one published input representation from its plane."""
     array = registry.attach(descriptor["array"])
-    if descriptor["extra"] is None:
-        return descriptor["tag"], array
     return descriptor["tag"], (array, tuple(descriptor["extra"]))
 
 
@@ -832,7 +811,7 @@ def _init_worker_shm(payload: dict) -> None:
 
     Besides the test set, the worker attaches the parent's published
     fault-free prefix activation planes (and, when available, the derived
-    im2col/packed input representations) and installs them via
+    im2col matrices) and installs them via
     :meth:`CampaignEvaluator.adopt_prefix` — the worker never recomputes
     the prefix.  Every attach verifies the plane fingerprint; a stale
     plane aborts worker start-up instead of silently mixing data.
@@ -846,7 +825,6 @@ def _init_worker_shm(payload: dict) -> None:
         payload["model"], x_test, y_test,
         batch_size=payload["batch_size"],
         continue_time_across_layers=payload["continue_time"],
-        backend=payload["backend"],
         copy_data=False)
     prefix = payload.get("prefix")
     if prefix is not None:
@@ -906,14 +884,14 @@ def _transient_state_stashed(model: Sequential):
     restore it.
 
     Worker start-up must not pickle (or fork-inherit) the caller's warm
-    im2col/packing caches — but it must not *discard* them either: a
+    im2col caches — but it must not *discard* them either: a
     serial evaluator sharing the model would silently lose its warm state
     every time a pool spins up.
     """
     saved: list[tuple[object, dict]] = []
     for layer in model.all_layers():
         entry = {attr: getattr(layer, attr)
-                 for attr in ("_packed_kernel_cache", "_input_cache", "_cache")
+                 for attr in ("_input_cache", "_cache")
                  if hasattr(layer, attr)}
         if entry:
             saved.append((layer, entry))
@@ -1013,7 +991,6 @@ class MultiprocessingExecutor:
             "y_test": np.asarray(evaluator.y_test),
             "batch_size": evaluator.batch_size,
             "continue_time": evaluator.injector.continue_time_across_layers,
-            "backend": evaluator.backend,
         }
         return payload, lambda success: None
 
@@ -1219,8 +1196,8 @@ class SharedMemoryExecutor(MultiprocessingExecutor):
     shared memory.
 
     The parent publishes ``x_test``/``y_test`` plus its cached fault-free
-    prefix activation batches (and the first suffix layer's derived
-    im2col/packed input representations) as planes in a
+    prefix activation batches (and the first suffix layer's im2col
+    matrices) as planes in a
     :class:`SharedPlaneRegistry`; workers attach everything zero-copy in
     their initializer.  The pickled per-worker payload carries only the
     model and block descriptors — independent of dataset size — and no
@@ -1291,11 +1268,9 @@ class SharedMemoryExecutor(MultiprocessingExecutor):
                     # one forward memoizes exactly the representation the
                     # workers will look up — shared code path, no drift
                     layer.forward(z, training=False)
-                    for tag in ("packed", "cols"):
-                        rep = layer._input_cache.peek(tag, z)
-                        if rep is not None:
-                            reps.append(_publish_rep(registry, tag, rep))
-                            break
+                    rep = layer._input_cache.peek("cols", z)
+                    if rep is not None:
+                        reps.append(_publish_rep(registry, "cols", rep))
                     else:
                         # this layer memoizes nothing: drop the partially
                         # published set — nobody will ever attach it
@@ -1335,7 +1310,6 @@ class SharedMemoryExecutor(MultiprocessingExecutor):
                 "batch_size": evaluator.batch_size,
                 "continue_time":
                     evaluator.injector.continue_time_across_layers,
-                "backend": evaluator.backend,
             }
         except Exception:
             registry.release()
@@ -1353,26 +1327,21 @@ class SharedMemoryExecutor(MultiprocessingExecutor):
 
 
 def _publish_rep(registry: SharedPlaneRegistry, tag: str, rep) -> dict:
-    """Decompose one memoized input representation into a plane descriptor
-    (``(array, (oh, ow))`` conv tuples or bare dense word arrays)."""
-    if isinstance(rep, tuple):
-        array, extra = rep
-    else:
-        array, extra = rep, None
+    """Decompose one memoized ``(array, (oh, ow))`` input representation
+    into a plane descriptor."""
+    array, extra = rep
     return {"tag": tag, "array": registry.publish(array, label=f"rep-{tag}"),
             "extra": extra}
 
 
 def _strip_transient_state(model: Sequential) -> None:
-    """Drop per-layer scratch state (training caches, memoized packings)
-    before pickling a model into worker processes."""
+    """Drop per-layer scratch state (training caches, memoized input
+    representations) before pickling a model into worker processes."""
     for layer in model.all_layers():
-        # swap in a fresh input cache first: invalidating must not reach
-        # into the old one, which _transient_state_stashed restores
+        # swap in a fresh input cache: the old one, which
+        # _transient_state_stashed restores, stays untouched
         if hasattr(layer, "_input_cache"):
             layer._input_cache = type(layer._input_cache)()
-        if hasattr(layer, "_invalidate_caches"):
-            layer._invalidate_caches()
         if hasattr(layer, "_cache"):
             layer._cache = None
 
@@ -1381,7 +1350,6 @@ _EXECUTORS = {
     "serial": SerialExecutor,
     "multiprocessing": MultiprocessingExecutor,
     "shared_memory": SharedMemoryExecutor,
-    "shm": SharedMemoryExecutor,
 }
 
 

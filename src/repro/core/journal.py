@@ -9,9 +9,9 @@ because accuracies round-trip exactly through ``repr``-based JSON floats
 and the per-cell seeds are pure functions of the grid coordinates.
 
 File layout: the first line is a header describing the campaign grid
-(``xs``, ``repeats``, ``seed``, crossbar geometry, backend, layer
-restriction, injection timing, and a fingerprint of the test-set
-snapshot + model weights); every following line is a result cell::
+(``xs``, ``repeats``, ``seed``, crossbar geometry, layer restriction,
+injection timing, and a fingerprint of the test-set snapshot + model
+weights); every following line is a result cell::
 
     {"kind": "header", "version": 1, "xs": [0.0, 0.1], "repeats": 3, ...}
     {"point": 0, "repeat": 0, "x": 0.0, "accuracy": 0.9625}
@@ -47,8 +47,10 @@ _VERSION = 1
 
 #: header fields that must match for a journal to be resumed; the
 #: fingerprint digests the test-set snapshot and model weights, so stale
-#: data or a retrained model cannot silently mix into a resumed result
-_GRID_KEYS = ("xs", "repeats", "seed", "rows", "cols", "layers", "backend",
+#: data or a retrained model cannot silently mix into a resumed result.
+#: Other header fields are ignored, so a header written with the former
+#: ``backend`` field (every backend was bit-identical) still resumes.
+_GRID_KEYS = ("xs", "repeats", "seed", "rows", "cols", "layers",
               "continue_time", "specs", "fingerprint")
 
 

@@ -28,10 +28,9 @@ DEFAULT_RATES = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 def _campaign(model: Sequential, test: Dataset, rows: int, cols: int,
               executor: str | object = "serial", n_jobs: int | None = None,
-              backend: str = "float",
               cache_bytes: int | None = None) -> FaultCampaign:
     return FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                         executor=executor, n_jobs=n_jobs, backend=backend,
+                         executor=executor, n_jobs=n_jobs,
                          cache_bytes=cache_bytes)
 
 
@@ -55,18 +54,17 @@ def layer_sweeps(model: Sequential, test: Dataset, spec_factory,
                  xs, repeats: int, rows: int = 40, cols: int = 10,
                  layer_names=LENET_MAPPED_LAYERS, seed: int = 0,
                  executor: str | object = "serial", n_jobs: int | None = None,
-                 backend: str = "float", cache_bytes: int | None = None,
+                 cache_bytes: int | None = None,
                  progress=None, journal_for=None) -> dict[str, SweepResult]:
     """Per-layer sweeps plus the 'combined' all-layer sweep (Fig. 4a/b).
 
-    The campaign engine options (``executor``/``n_jobs``/``backend``/
-    ``cache_bytes``) pass straight through, so every Fig. 4 scenario can
-    run on the pool executors and the packed backend — all bit-identical
-    to serial/float.  ``progress(series, done, total, cell)`` and
+    The campaign engine options (``executor``/``n_jobs``/``cache_bytes``)
+    pass straight through, so every Fig. 4 scenario can run on the pool
+    executors — all bit-identical to serial.  ``progress(series, done, total, cell)`` and
     ``journal_for(series) -> path`` are the streaming hooks of the
     :mod:`repro.api` layer: one callback / journal per series curve.
     """
-    campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
+    campaign = _campaign(model, test, rows, cols, executor, n_jobs,
                          cache_bytes)
     results: dict[str, SweepResult] = {}
     for name in (*layer_names, "combined"):
@@ -101,7 +99,7 @@ def run_fig4b(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
 def run_fig4c(model: Sequential, test: Dataset, periods=(0, 1, 2, 3, 4),
               rate: float = 0.10, repeats: int = 10, rows: int = 40,
               cols: int = 10, seed: int = 0, executor: str | object = "serial",
-              n_jobs: int | None = None, backend: str = "float",
+              n_jobs: int | None = None,
               cache_bytes: int | None = None, journal=None,
               progress=None) -> SweepResult:
     """Fig. 4c: dynamic faults — sensitization period vs accuracy.
@@ -111,7 +109,7 @@ def run_fig4c(model: Sequential, test: Dataset, periods=(0, 1, 2, 3, 4),
     ``progress`` forward to :meth:`FaultCampaign.run` unchanged (one
     grid, one journal).
     """
-    campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
+    campaign = _campaign(model, test, rows, cols, executor, n_jobs,
                          cache_bytes)
     return campaign.run(
         lambda n: FaultSpec.bitflip(rate, period=int(n)),
@@ -120,10 +118,10 @@ def run_fig4c(model: Sequential, test: Dataset, periods=(0, 1, 2, 3, 4),
 
 
 def _line_sweeps(model, test, spec_for_count, counts, repeats, rows, cols,
-                 seed, layer_names, executor, n_jobs, backend, cache_bytes,
+                 seed, layer_names, executor, n_jobs, cache_bytes,
                  progress, journal_for) -> dict[str, SweepResult]:
     """Shared faulty-line driver (Fig. 4d columns / Fig. 4e rows)."""
-    campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
+    campaign = _campaign(model, test, rows, cols, executor, n_jobs,
                          cache_bytes)
     results = {}
     for name in layer_names:
@@ -141,13 +139,13 @@ def run_fig4d(model: Sequential, test: Dataset, counts=(0, 1, 2, 3, 4),
               repeats: int = 10, rows: int = 40, cols: int = 10,
               seed: int = 0, layer_names=LENET_MAPPED_LAYERS,
               executor: str | object = "serial", n_jobs: int | None = None,
-              backend: str = "float", cache_bytes: int | None = None,
+              cache_bytes: int | None = None,
               progress=None, journal_for=None) -> dict[str, SweepResult]:
     """Fig. 4d: number of faulty crossbar columns vs accuracy, per layer."""
     return _line_sweeps(model, test,
                         lambda c: FaultSpec.faulty_columns(int(c)),
                         counts, repeats, rows, cols, seed, layer_names,
-                        executor, n_jobs, backend, cache_bytes,
+                        executor, n_jobs, cache_bytes,
                         progress, journal_for)
 
 
@@ -157,13 +155,13 @@ def run_fig4e(model: Sequential, test: Dataset,
               repeats: int = 10, rows: int = 40, cols: int = 10,
               seed: int = 0, layer_names=LENET_MAPPED_LAYERS,
               executor: str | object = "serial", n_jobs: int | None = None,
-              backend: str = "float", cache_bytes: int | None = None,
+              cache_bytes: int | None = None,
               progress=None, journal_for=None) -> dict[str, SweepResult]:
     """Fig. 4e: number of faulty crossbar rows vs accuracy, per layer."""
     return _line_sweeps(model, test,
                         lambda r: FaultSpec.faulty_rows(int(r)),
                         counts, repeats, rows, cols, seed, layer_names,
-                        executor, n_jobs, backend, cache_bytes,
+                        executor, n_jobs, cache_bytes,
                         progress, journal_for)
 
 

@@ -28,15 +28,14 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
                 repeats: int = 5, rows: int = 40, cols: int = 10,
                 seed: int = 0, test: Dataset | None = None,
                 executor: str | object = "serial", n_jobs: int | None = None,
-                backend: str = "float", cache_bytes: int | None = None,
+                cache_bytes: int | None = None,
                 progress=None, journal_for=None) -> dict[str, SweepResult]:
     """Run one sweep on every zoo model; returns label -> SweepResult.
 
-    The campaign engine options (``executor``/``n_jobs``/``backend``/
-    ``cache_bytes``) pass straight through, so the nine-architecture
-    grids can run on the pool executors and the packed backend — all
-    bit-identical to serial/float.  ``progress(series, done, total,
-    cell)`` and ``journal_for(series) -> path`` stream/journal one model
+    The campaign engine options (``executor``/``n_jobs``/``cache_bytes``)
+    pass straight through, so the nine-architecture grids can run on the
+    pool executors — all bit-identical to serial.  ``progress(series,
+    done, total, cell)`` and ``journal_for(series) -> path`` stream/journal one model
     curve at a time (each model is its own campaign grid).
     """
     if models is None:
@@ -48,7 +47,7 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
         model = trained_zoo_model(name)
         campaign = FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
                                  executor=executor, n_jobs=n_jobs,
-                                 backend=backend, cache_bytes=cache_bytes)
+                                 cache_bytes=cache_bytes)
         campaign_progress = None
         if progress is not None:
             def campaign_progress(done, total, cell, _name=name):

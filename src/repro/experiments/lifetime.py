@@ -4,9 +4,9 @@ Where :mod:`repro.experiments.fig4` reproduces the paper's single-axis
 sweeps, this driver runs a declarative scenario
 (:mod:`repro.scenarios`) and returns the accuracy-over-device-age
 trajectory — the figure an operator reads to schedule replacement or
-mitigation.  Engine options (executor / n_jobs / backend /
-cache_bytes), journaling, and streaming progress pass straight through
-and stay bit-identical under fixed seeds.  The :mod:`repro.api`
+mitigation.  Engine options (executor / n_jobs / cache_bytes),
+journaling, and streaming progress pass straight through and stay
+bit-identical under fixed seeds.  The :mod:`repro.api`
 registry runs every zoo story through this driver.
 """
 
@@ -25,7 +25,6 @@ def run_lifetime_trajectory(model: Sequential, test: Dataset,
                             seed: int = 0,
                             executor: str | object = "serial",
                             n_jobs: int | None = None,
-                            backend: str = "float",
                             cache_bytes: int | None = None,
                             journal=None, progress=None,
                             grid=None) -> ScenarioResult:
@@ -42,7 +41,7 @@ def run_lifetime_trajectory(model: Sequential, test: Dataset,
     return run_scenario.__wrapped__(
         scenario, model, test.x, test.y, repeats=repeats,
         seed=seed, rows=rows, cols=cols, executor=executor,
-        n_jobs=n_jobs, backend=backend, cache_bytes=cache_bytes,
+        n_jobs=n_jobs, cache_bytes=cache_bytes,
         journal=journal, progress=progress, grid=grid)
 
 

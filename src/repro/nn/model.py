@@ -94,17 +94,6 @@ class Sequential:
             correct += int((logits.argmax(axis=-1) == y[i:i + batch_size]).sum())
         return correct / len(x)
 
-    def set_execution_backend(self, backend: str) -> "Sequential":
-        """Switch every backend-aware layer (e.g. quantized layers with a
-        packed XNOR/popcount fast path) to ``backend`` ('float'/'packed')."""
-        if backend not in ("float", "packed"):
-            raise ValueError(f"unknown execution backend {backend!r}; "
-                             "use 'float' or 'packed'")
-        for layer in self.all_layers():
-            if hasattr(layer, "execution_backend"):
-                layer.execution_backend = backend
-        return self
-
     # -- introspection -----------------------------------------------------
     def summary(self) -> str:
         """Human-readable table of layers, output shapes and param counts."""

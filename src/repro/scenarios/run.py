@@ -4,10 +4,9 @@
 spec file) + model + test set → a :class:`ScenarioResult` holding the
 per-checkpoint, per-episode accuracy trajectory.  Under the hood it is a
 plain :meth:`repro.core.FaultCampaign.run` over the compiled grid, so
-every engine feature — pool executors, the packed backend, JSONL
-journals with resume, shared-memory activation planes — applies
-unchanged, and results are bit-identical across executor × backend
-combinations under a fixed seed.
+every engine feature — pool executors, JSONL journals with resume,
+shared-memory activation planes — applies unchanged, and results are
+bit-identical across executors under a fixed seed.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def run_scenario(scenario, model, x_test, y_test, *,
                  repeats: int = 3, seed: int = 0,
                  rows: int = 40, cols: int = 10, batch_size: int = 256,
                  executor: str | object = "serial",
-                 n_jobs: int | None = None, backend: str = "float",
+                 n_jobs: int | None = None,
                  cache_bytes: int | None = None, policy=None, layers=None,
                  journal=None,
                  progress: Callable[[int, int, tuple], None] | None = None,
@@ -150,15 +149,15 @@ def run_scenario(scenario, model, x_test, y_test, *,
     e.g. the :mod:`repro.api` checkpoint-event wrapper — need not pay
     it twice).  Each cell's fault plans are pre-generated from seeds
     that are pure functions of the grid coordinates, so the returned
-    trajectory is bit-identical across executors and backends.
+    trajectory is bit-identical across executors.
     """
     scenario = resolve_scenario(scenario)
     if grid is None:
         grid = compile_scenario(scenario, model, rows=rows, cols=cols)
     with FaultCampaign(model, x_test, y_test, rows=rows, cols=cols,
                        batch_size=batch_size, executor=executor,
-                       n_jobs=n_jobs, backend=backend,
-                       cache_bytes=cache_bytes, policy=policy) as campaign:
+                       n_jobs=n_jobs, cache_bytes=cache_bytes,
+                       policy=policy) as campaign:
         sweep = campaign.run(grid.spec_factory, xs=grid.xs, repeats=repeats,
                              seed=seed, layers=layers, label=scenario.name,
                              journal=journal, progress=progress)

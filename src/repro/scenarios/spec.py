@@ -21,7 +21,7 @@ values:
 
 Scenarios are *specs*, not executions: :mod:`repro.scenarios.compile`
 lowers them onto the existing campaign grid, so they ride every
-executor, backend, journal and cache of the engine unchanged.
+executor, journal and cache of the engine unchanged.
 
 Validation is strict in the style of :mod:`repro.core.vectors`: unknown
 keys, out-of-range rates and malformed references raise

@@ -58,7 +58,7 @@ EVENT_TYPES: dict[str, type] = {
 #: RunRequest fields a wire submission may carry.  ``journal``/``resume``
 #: are deliberately absent: journals live on the *server's* filesystem
 #: and are owned by the job store (the ``durable`` flag requests one).
-REQUEST_FIELDS = ("experiment", "params", "executor", "n_jobs", "backend",
+REQUEST_FIELDS = ("experiment", "params", "executor", "n_jobs",
                   "cache_bytes", "quick", "retries", "job_timeout",
                   "degrade")
 
@@ -91,7 +91,6 @@ def encode_request(request: RunRequest, durable: bool = False) -> dict:
         "params": dict(request.params),
         "executor": request.executor,
         "n_jobs": request.n_jobs,
-        "backend": request.backend,
         "cache_bytes": request.cache_bytes,
         "quick": request.quick,
         "retries": request.retries,
@@ -266,7 +265,11 @@ def decode_job(payload: Any):
     except ValueError as error:
         raise WireError(f"unknown job state {payload['state']!r}; "
                         f"known: {[s.value for s in JobState]}") from error
-    request, durable = decode_request(payload["request"])
+    stored = dict(_require_mapping(payload["request"], "request"))
+    # records written while a second (bit-identical) inference backend
+    # existed carry a ``backend`` field; the job resumes exactly without it
+    stored.pop("backend", None)
+    request, durable = decode_request(stored)
     if durable != payload["durable"]:
         raise WireError("job record durable flag disagrees with its "
                         "request payload")

@@ -111,7 +111,7 @@ def test_resolve_applies_defaults_quick_then_user():
 
 @pytest.mark.parametrize("kwargs,match", [
     (dict(executor="gpu"), "unknown executor"),
-    (dict(backend="int8"), "unknown backend"),
+    (dict(executor="shm"), "unknown executor"),
     (dict(n_jobs=-1), "n_jobs"),
     (dict(cache_bytes=-5), "cache_bytes"),
     (dict(resume=True), "--journal"),
@@ -275,31 +275,20 @@ def test_end_of_life_registry_matches_legacy_driver():
     assert report.baseline == legacy.baseline
 
 
-@pytest.mark.parametrize("executor,backend", [
-    ("serial", "packed"),
-    ("shared_memory", "float"),
-    ("shared_memory", "packed"),
-])
-def test_sweep_bit_identical_across_executors_and_backends(executor,
-                                                           backend):
+def test_sweep_bit_identical_across_executors():
     reference = api.run("sweep", params=TINY)
-    result = api.run("sweep", params=TINY, executor=executor, n_jobs=2,
-                     backend=backend)
+    result = api.run("sweep", params=TINY, executor="shared_memory",
+                     n_jobs=2)
     np.testing.assert_array_equal(result.raw.accuracies,
                                   reference.raw.accuracies)
     assert result.baseline == reference.baseline
 
 
-@pytest.mark.parametrize("executor,backend", [
-    ("serial", "packed"),
-    ("shared_memory", "packed"),
-])
-def test_end_of_life_bit_identical_across_executors_and_backends(
-        executor, backend):
+def test_end_of_life_bit_identical_across_executors():
     params = dict(repeats=1, images=60, rows=8, cols=4)
     reference = api.run("end-of-life", params=params)
-    result = api.run("end-of-life", params=params, executor=executor,
-                     n_jobs=2, backend=backend)
+    result = api.run("end-of-life", params=params, executor="shared_memory",
+                     n_jobs=2)
     np.testing.assert_array_equal(result.raw.accuracies,
                                   reference.raw.accuracies)
     assert result.baseline == reference.baseline

@@ -261,31 +261,24 @@ def fused_setup(request):
     return model, x, y
 
 
-def _oracle_accuracies(model, x, y, backend):
+def _oracle_accuracies(model, x, y):
     """Every plan through Sequential.evaluate: the unfused reference."""
     jobs = build_jobs(model, _spec_at, range(len(SPECS)), 2, 11, ROWS, COLS)
     accuracies = np.zeros((len(SPECS), 2))
-    model.set_execution_backend(backend)
-    try:
-        for job in jobs:
-            with FaultInjector().injecting(model, job.plan):
-                accuracies[job.point_index, job.repeat_index] = (
-                    model.evaluate(x, y, batch_size=16))
-    finally:
-        model.set_execution_backend("float")
+    for job in jobs:
+        with FaultInjector().injecting(model, job.plan):
+            accuracies[job.point_index, job.repeat_index] = (
+                model.evaluate(x, y, batch_size=16))
     return accuracies
 
 
 @pytest.mark.parametrize("executor", ["serial", "shared_memory"])
-@pytest.mark.parametrize("backend", ["float", "packed"])
-def test_fused_grid_matches_sequential_evaluate(fused_setup, backend,
-                                                executor):
+def test_fused_grid_matches_sequential_evaluate(fused_setup, executor):
     model, x, y = fused_setup
-    want = _oracle_accuracies(model, x, y, backend)
+    want = _oracle_accuracies(model, x, y)
     assert (want < 1.0).any()  # the faults did land
     with FaultCampaign(model, x, y, rows=ROWS, cols=COLS, batch_size=16,
-                       executor=executor, n_jobs=2,
-                       backend=backend) as campaign:
+                       executor=executor, n_jobs=2) as campaign:
         result = campaign.run(_spec_at, xs=range(len(SPECS)), repeats=2,
                               seed=11)
         if executor == "shared_memory":  # the pool ran, not a fallback
@@ -326,7 +319,7 @@ def test_thresholds_follow_weight_changes(fused_setup):
         result = campaign.run(_spec_at, xs=range(len(SPECS)), repeats=2,
                               seed=11)
         np.testing.assert_array_equal(result.accuracies,
-                                      _oracle_accuracies(model, x, y, "float"))
+                                      _oracle_accuracies(model, x, y))
     finally:
         model.load_state_dict(state)
 

@@ -103,7 +103,7 @@ def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "baseline:" in out
-    assert "[multiprocessing/float]" in out
+    assert "[multiprocessing]" in out
     assert "0 cells resumed" in out
 
     # reusing a journal requires --resume ...
@@ -129,7 +129,7 @@ def test_sweep_shared_memory_executor_smoke(capsys, tmp_path):
                         "--rows", "8", "--cols", "4",
                         "--jobs", "2", "--executor", "shared_memory")
     assert code == 0
-    assert "[shared_memory/float]" in out
+    assert "[shared_memory]" in out
 
 
 def test_scenarios_list(capsys):
@@ -234,7 +234,7 @@ def test_run_sweep_quick(capsys):
     assert code == 0
     assert "experiment: sweep" in out
     assert "baseline:" in out
-    assert "[serial/float]" in out
+    assert "[serial]" in out
     assert "bitflip" in out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.binary import QuantDense
+from repro.binary import QuantConv2D, QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultGenerator,
                         FaultInjector, FaultSpec, MultiprocessingExecutor,
                         SerialExecutor, SharedMemoryExecutor, build_jobs,
@@ -28,6 +28,22 @@ def trained_setup():
     trainer = nn.Trainer(nn.Adam(0.01), seed=0)
     trainer.fit(model, x[:300], y[:300], epochs=25, batch_size=32)
     return model, x[300:], y[300:]
+
+
+@pytest.fixture(scope="module")
+def conv_setup():
+    """An untrained conv BNN whose first layer memoizes im2col matrices
+    (``"cols"`` entries) for read-only inputs."""
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1.0, 1.0], size=(60, 6, 6, 2)).astype(np.float32)
+    y = rng.integers(0, 2, size=60)
+    model = nn.Sequential([
+        QuantConv2D(4, 3, input_quantizer="ste_sign",
+                    kernel_quantizer="ste_sign"),
+        nn.Flatten(),
+        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+    ]).build((6, 6, 2), seed=0)
+    return model, x, y
 
 
 def test_build_jobs_flattens_grid_with_plans(trained_setup):
@@ -91,19 +107,17 @@ def test_serial_and_multiprocessing_bit_identical(trained_setup):
 
 
 def test_shared_memory_bit_identical_to_serial(trained_setup):
-    """The zero-copy shm executor must match serial on both backends."""
+    """The zero-copy shm executor must match serial."""
     model, x, y = trained_setup
     kwargs = dict(xs=[0.0, 0.2, 0.4], repeats=3, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4,
                            executor="serial").run(FaultSpec.bitflip, **kwargs)
-    for backend in ("float", "packed"):
-        campaign = FaultCampaign(model, x, y, rows=8, cols=4,
-                                 executor="shared_memory", n_jobs=2,
-                                 backend=backend)
-        result = campaign.run(FaultSpec.bitflip, **kwargs)
-        np.testing.assert_array_equal(serial.accuracies, result.accuracies)
-        assert serial.baseline == result.baseline
-        assert result.meta["executor"] == "shared_memory"
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4,
+                             executor="shared_memory", n_jobs=2)
+    result = campaign.run(FaultSpec.bitflip, **kwargs)
+    np.testing.assert_array_equal(serial.accuracies, result.accuracies)
+    assert serial.baseline == result.baseline
+    assert result.meta["executor"] == "shared_memory"
 
 
 def test_shared_memory_payload_smaller_than_pickled(trained_setup):
@@ -164,22 +178,20 @@ def test_shard_count_policy():
     assert executor._shard_count(1, 3) == 3    # capped by batch count
 
 
-def test_multiprocessing_preserves_caller_caches(trained_setup):
+def test_multiprocessing_preserves_caller_caches(conv_setup):
     """Spinning up a pool must not discard the caller's warm layer caches
     (mixed serial/parallel use would otherwise thrash them)."""
-    model, x, y = trained_setup
-    # packed backend: dense layers memoize their packed input words (the
-    # float dense path derives nothing cacheable)
-    evaluator = CampaignEvaluator(model, x, y, backend="packed")
-    evaluator.baseline()  # warm prefix activations + layer input caches
+    model, x, y = conv_setup
+    conv = model.layers[0]
+    evaluator = CampaignEvaluator(model, x, y, batch_size=20)
+    evaluator.baseline()  # warm the conv layer's im2col entries
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
-    evaluator.evaluate_plan(jobs[0].plan)  # warm packed-kernel caches too
-    warm_inputs = {layer.name: layer._input_cache.entries()
-                   for layer in model.layers_of_type(QuantDense)}
-    assert any(warm_inputs.values()), "test premise: caches must be warm"
+    evaluator.evaluate_plan(jobs[0].plan)  # and its clean-GEMM entries
+    warm = conv._input_cache.entries()
+    assert sum(entry[1] == "cols" for entry in warm) == 3, \
+        "test premise: one warm im2col entry per batch"
     MultiprocessingExecutor(n_jobs=2).run(jobs, evaluator)
-    for layer in model.layers_of_type(QuantDense):
-        assert layer._input_cache.entries() == warm_inputs[layer.name]
+    assert conv._input_cache.entries() == warm
 
 
 def _worker_cache_entries(job):
@@ -187,7 +199,7 @@ def _worker_cache_entries(job):
     worker's model holds before it has evaluated anything itself."""
     from repro.core import engine
     entries = sum(len(layer._input_cache.entries()) for layer in
-                  engine._WORKER_EVALUATOR.model.layers_of_type(QuantDense))
+                  engine._WORKER_EVALUATOR._quant_layers)
     return job.point_index, job.repeat_index, float(entries)
 
 
@@ -196,14 +208,13 @@ class _CacheProbeExecutor(MultiprocessingExecutor):
         return _worker_cache_entries, _worker_cache_entries
 
 
-def test_pool_workers_do_not_inherit_caller_caches(trained_setup):
+def test_pool_workers_do_not_inherit_caller_caches(conv_setup):
     """Workers fork while the caller's warm caches are stashed away, not
     at the first job dispatch after they are restored."""
-    model, x, y = trained_setup
-    evaluator = CampaignEvaluator(model, x, y, backend="packed")
+    model, x, y = conv_setup
+    evaluator = CampaignEvaluator(model, x, y)
     evaluator.baseline()  # warm the caller's layer input caches
-    assert any(layer._input_cache.entries()
-               for layer in model.layers_of_type(QuantDense))
+    assert model.layers[0]._input_cache.entries()
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
     results = _CacheProbeExecutor(n_jobs=2).run(jobs, evaluator)
     assert [entries for _, _, entries in results] == [0.0, 0.0]
@@ -244,29 +255,6 @@ def test_executors_stream_results(trained_setup):
         seen = {(i, j): acc for i, j, acc in
                 executor.run_iter(jobs, evaluator)}
         assert set(seen) == expected
-
-
-def test_float_and_packed_campaigns_bit_identical(trained_setup):
-    model, x, y = trained_setup
-    kwargs = dict(xs=[0.0, 0.3], repeats=3, seed=5)
-    float_result = FaultCampaign(model, x, y, rows=8, cols=4,
-                                 backend="float").run(FaultSpec.bitflip,
-                                                      **kwargs)
-    packed_result = FaultCampaign(model, x, y, rows=8, cols=4,
-                                  backend="packed").run(FaultSpec.bitflip,
-                                                        **kwargs)
-    np.testing.assert_array_equal(float_result.accuracies,
-                                  packed_result.accuracies)
-    assert float_result.baseline == packed_result.baseline
-
-
-def test_campaign_restores_model_backend(trained_setup):
-    """Campaigns may not permanently re-mode a shared model."""
-    model, x, y = trained_setup
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4, backend="packed")
-    campaign.run(FaultSpec.bitflip, xs=[0.3], repeats=2)
-    for layer in model.layers_of_type(QuantDense):
-        assert layer.execution_backend == "float"
 
 
 def test_stale_caches_dropped_after_weight_change(trained_setup):
@@ -334,15 +322,9 @@ def test_get_executor_resolution():
         get_executor("threads")
 
 
-def test_unknown_backend_rejected(trained_setup):
-    model, x, y = trained_setup
-    with pytest.raises(ValueError):
-        FaultCampaign(model, x, y, backend="quantum")
-
-
 def test_campaign_leaves_model_unfaulted(trained_setup):
     model, x, y = trained_setup
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4, backend="packed")
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4)
     campaign.run(FaultSpec.bitflip, xs=[0.4], repeats=2)
     for layer in model.layers_of_type(QuantDense):
         assert layer.output_fault_hook is None

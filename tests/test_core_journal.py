@@ -72,6 +72,32 @@ def test_journal_resume_mid_grid_reproduces_uninterrupted_run(
     assert resumed.baseline == reference.baseline
 
 
+def test_journal_header_with_backend_resumes_bit_identically(
+        trained_setup, tmp_path):
+    """A journal whose header carries the former ``backend`` field (both
+    backends were bit-identical) resumes exactly."""
+    model, x, y = trained_setup
+    reference = FaultCampaign(model, x, y, rows=8, cols=4).run(
+        FaultSpec.bitflip, **KWARGS)
+    journal = tmp_path / "sweep.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        FaultCampaign(model, x, y, rows=8, cols=4,
+                      executor=AbortAfter(4)).run(
+            FaultSpec.bitflip, journal=journal, **KWARGS)
+    lines = journal.read_text().splitlines()
+    header = dict(json.loads(lines[0]), backend="packed")
+    journal.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+
+    finisher = AbortAfter(cells=10 ** 9)
+    resumed = FaultCampaign(model, x, y, rows=8, cols=4,
+                            executor=finisher).run(
+        FaultSpec.bitflip, journal=journal, **KWARGS)
+    assert resumed.meta["resumed_cells"] == 4
+    assert finisher.executed == 9 - 4
+    np.testing.assert_array_equal(resumed.accuracies, reference.accuracies)
+    assert resumed.baseline == reference.baseline
+
+
 def test_completed_journal_resumes_without_evaluating(trained_setup, tmp_path):
     model, x, y = trained_setup
     journal = tmp_path / "sweep.jsonl"
@@ -199,14 +225,14 @@ def test_journal_rejects_foreign_file(trained_setup, tmp_path):
 def test_journal_file_layout(trained_setup, tmp_path):
     model, x, y = trained_setup
     journal = tmp_path / "sweep.jsonl"
-    FaultCampaign(model, x, y, rows=8, cols=4, backend="float").run(
+    FaultCampaign(model, x, y, rows=8, cols=4).run(
         FaultSpec.bitflip, journal=journal, **KWARGS)
     lines = [json.loads(line) for line in journal.read_text().splitlines()]
     header, cells = lines[0], lines[1:]
     assert header["kind"] == "header"
     assert header["xs"] == KWARGS["xs"]
     assert header["repeats"] == KWARGS["repeats"]
-    assert header["backend"] == "float"
+    assert "backend" not in header
     assert len(cells) == len(KWARGS["xs"]) * KWARGS["repeats"]
     coords = {(cell["point"], cell["repeat"]) for cell in cells}
     assert coords == {(i, j) for i in range(3) for j in range(3)}
@@ -227,7 +253,7 @@ def test_progress_callback_reports_every_cell(trained_setup, tmp_path):
 
 def test_campaign_journal_direct_api(tmp_path):
     header = {"xs": [0.0], "repeats": 1, "seed": 0, "rows": 8, "cols": 4,
-              "layers": None, "backend": "float", "label": "t"}
+              "layers": None, "label": "t"}
     path = tmp_path / "j.jsonl"
     with CampaignJournal(path, header) as journal:
         journal.record(0, 0, 0.0, 0.5)

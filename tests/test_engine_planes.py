@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.binary import QuantDense
+from repro.binary import QuantConv2D, QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultSpec,
                         SharedMemoryExecutor, SharedPlaneRegistry, build_jobs)
 from repro.core import engine as engine_mod
@@ -134,17 +134,25 @@ def test_worker_init_refuses_stale_planes(trained_setup, worker_globals):
         cleanup(False)
 
 
-def test_packed_rep_planes_published(trained_setup, worker_globals):
-    """The packed backend publishes the split layer's packed-word planes
-    and the worker's first lookup is already a hit."""
-    model, x, y = trained_setup
-    evaluator = CampaignEvaluator(model, x, y, batch_size=25,
-                                  backend="packed")
+def test_cols_rep_planes_published(worker_globals):
+    """A conv split layer's im2col (``"cols"``) planes are published and
+    the worker's first lookup is already a hit."""
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1.0, 1.0], size=(300, 6, 6, 2)).astype(np.float32)
+    y = rng.integers(0, 2, size=300)
+    model = nn.Sequential([
+        QuantConv2D(4, 3, input_quantizer="ste_sign",
+                    kernel_quantizer="ste_sign"),
+        nn.Flatten(),
+        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+    ]).build((6, 6, 2), seed=0)
+    evaluator = CampaignEvaluator(model, x, y, batch_size=25)
     executor = SharedMemoryExecutor(n_jobs=2)
     payload, cleanup = executor._make_payload(evaluator)
     try:
-        assert payload["prefix"]["reps"] is not None
-        assert len(payload["prefix"]["reps"]) == 12
+        reps = payload["prefix"]["reps"]
+        assert reps is not None and len(reps) == 12
+        assert {rep["tag"] for rep in reps} == {"cols"}
         engine_mod._init_worker_shm(payload)
         worker = engine_mod._WORKER_EVALUATOR
         jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 1, 0, 8, 4)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import nn
 from repro.binary import QuantConv2D, QuantDense
-from repro.binary.layers import _INPUT_CACHE_SLOTS, CLEAN_TAGS, InputRepCache
+from repro.binary.layers import _INPUT_CACHE_SLOTS, CLEAN_TAG, InputRepCache
 from repro.core import (FaultCampaign, FaultGenerator, FaultInjector,
                         FaultSpec, Semantics)
 from repro.core.engine import build_jobs
@@ -142,8 +142,7 @@ def test_campaign_cache_hits_on_more_batches_than_legacy_slots(trained_setup):
     """16 batches > the 8 legacy slots: the fixed FIFO cycled at 0% here;
     the campaign-sized cache must hit on every repetition after the first."""
     model, x, y = trained_setup
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
-                             backend="packed")
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25)
     result = campaign.run(FaultSpec.bitflip, xs=[0.2, 0.4], repeats=3)
     stats = result.meta["input_cache"]
     assert stats["misses"] == 16   # one cold pass over the 16 batches
@@ -156,9 +155,8 @@ def test_campaign_respects_cache_byte_cap(trained_setup):
     without corrupting results."""
     model, x, y = trained_setup
     capped = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
-                           backend="packed", cache_bytes=8)
-    free = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
-                         backend="packed")
+                           cache_bytes=8)
+    free = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25)
     r_capped = capped.run(FaultSpec.bitflip, xs=[0.2, 0.4], repeats=2)
     r_free = free.run(FaultSpec.bitflip, xs=[0.2, 0.4], repeats=2)
     assert np.array_equal(r_capped.accuracies, r_free.accuracies)
@@ -168,10 +166,9 @@ def test_campaign_respects_cache_byte_cap(trained_setup):
 
 def test_interleaved_campaigns_keep_their_hit_rates(trained_setup):
     model, x, y = trained_setup
-    c1 = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
-                       backend="packed")
+    c1 = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25)
     c2 = FaultCampaign(model, x[:400], y[:400], rows=8, cols=4,
-                       batch_size=25, backend="packed")
+                       batch_size=25)
     for _ in range(2):
         c1.run(FaultSpec.bitflip, xs=[0.3], repeats=2)
         c2.run(FaultSpec.bitflip, xs=[0.3], repeats=2)
@@ -244,20 +241,18 @@ def _assert_bit_identical(got, want):
 
 
 def _clean_entries(model, owner=None) -> int:
-    return sum(layer._input_cache.stats(owner, tag)["entries"]
+    return sum(layer._input_cache.stats(owner, CLEAN_TAG)["entries"]
                for layer in model.all_layers()
-               if hasattr(layer, "_input_cache")
-               for tag in CLEAN_TAGS.values())
+               if hasattr(layer, "_input_cache"))
 
 
-@pytest.mark.parametrize("backend", ["float", "packed"])
 @pytest.mark.parametrize("make_model", [one_conv_model, one_dense_model])
 @pytest.mark.parametrize("spec", OUTPUT_SPECS.values(), ids=OUTPUT_SPECS)
-def test_clean_gemm_memo_is_exact(make_model, backend, spec):
+def test_clean_gemm_memo_is_exact(make_model, spec):
     """A read-only input under an output-level plan runs its GEMM once;
     the cold and the memoized forward both equal the same plan on a
     writeable copy of the input (which bypasses the memo)."""
-    model = make_model().set_execution_backend(backend)
+    model = make_model()
     layer = model.layers[0]
     x, frozen = _inputs(model)
     clean = model.forward(frozen)
@@ -269,44 +264,36 @@ def test_clean_gemm_memo_is_exact(make_model, backend, spec):
         cold = model.forward(frozen)
         warm = model.forward(frozen)
         reference = model.forward(x)
-    stats = layer._input_cache.stats(None, CLEAN_TAGS[backend])
+    stats = layer._input_cache.stats(None, CLEAN_TAG)
     assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
     _assert_bit_identical(cold, reference)
     _assert_bit_identical(warm, reference)
     assert not np.array_equal(reference, clean)  # the faults did land
 
 
-def _unmemoized_accuracies(model, x, y, factory, xs, repeats, seed, backend):
+def _unmemoized_accuracies(model, x, y, factory, xs, repeats, seed):
     """The grid evaluated plan by plan on writeable data: the memo (and
     every other input cache) never engages."""
     writeable = np.array(x)
     accuracies = np.zeros((len(xs), repeats))
     injector = FaultInjector()
-    model.set_execution_backend(backend)
-    try:
-        for job in build_jobs(model, factory, xs, repeats, seed, ROWS, COLS):
-            with injector.injecting(model, job.plan):
-                accuracies[job.point_index, job.repeat_index] = (
-                    model.evaluate(writeable, y, batch_size=25))
-    finally:
-        model.set_execution_backend("float")
+    for job in build_jobs(model, factory, xs, repeats, seed, ROWS, COLS):
+        with injector.injecting(model, job.plan):
+            accuracies[job.point_index, job.repeat_index] = (
+                model.evaluate(writeable, y, batch_size=25))
     return accuracies
 
 
 @pytest.mark.parametrize("executor", ["serial", "shared_memory"])
-@pytest.mark.parametrize("backend", ["float", "packed"])
-def test_campaign_memo_matches_unmemoized_reference(trained_setup, executor,
-                                                    backend):
+def test_campaign_memo_matches_unmemoized_reference(trained_setup, executor):
     model, x, y = trained_setup
     x, y = x[:100], y[:100]
     with FaultCampaign(model, x, y, rows=ROWS, cols=COLS, batch_size=25,
-                       executor=executor, n_jobs=2,
-                       backend=backend) as campaign:
+                       executor=executor, n_jobs=2) as campaign:
         for name, factory in OUTPUT_SWEEPS.items():
             xs = [0.0, 2.0] if name == "rows" else [0.0, 0.3]
             result = campaign.run(factory, xs=xs, repeats=2, seed=5)
-            want = _unmemoized_accuracies(model, x, y, factory, xs, 2, 5,
-                                          backend)
+            want = _unmemoized_accuracies(model, x, y, factory, xs, 2, 5)
             np.testing.assert_array_equal(result.accuracies, want,
                                           err_msg=name)
             if executor == "shared_memory":  # the pool ran, not a fallback
@@ -328,13 +315,13 @@ def test_split_layer_runs_its_gemm_once_per_batch(trained_setup,
     campaign = FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
                              batch_size=25)
     campaign.run(FaultSpec.bitflip, xs=[0.3, 0.5], repeats=3)
-    stats = campaign._evaluator.input_cache_stats(tag="clean-float")
+    stats = campaign._evaluator.input_cache_stats(tag=CLEAN_TAG)
     assert (stats["misses"], stats["hits"]) == (n_batches, 5 * n_batches)
     assert stats["entries"] == n_batches
     # the hook-free baseline pass plus the first faulty cell
     assert len(gemms) == 2 * n_batches
     campaign.run(FaultSpec.stuck_at, xs=[0.2], repeats=2)
-    stats = campaign._evaluator.input_cache_stats(tag="clean-float")
+    stats = campaign._evaluator.input_cache_stats(tag=CLEAN_TAG)
     assert (stats["misses"], stats["hits"]) == (n_batches, 7 * n_batches)
     assert len(gemms) == 2 * n_batches
     # suffix layers see fresh writeable activations: nothing memoized
@@ -361,14 +348,12 @@ def test_no_clean_entry_without_an_output_only_plan(trained_setup, factory):
         campaign.baseline_accuracy()
     else:
         result = campaign.run(factory, xs=[0.3], repeats=2)
-        want = _unmemoized_accuracies(model, x, y, factory, [0.3], 2, 0,
-                                      "float")
+        want = _unmemoized_accuracies(model, x, y, factory, [0.3], 2, 0)
         np.testing.assert_array_equal(result.accuracies, want)
     token = campaign._evaluator._cache_token
     assert _clean_entries(model, token) == 0
-    for tag in CLEAN_TAGS.values():
-        stats = campaign._evaluator.input_cache_stats(tag=tag)
-        assert stats["hits"] == stats["misses"] == 0
+    stats = campaign._evaluator.input_cache_stats(tag=CLEAN_TAG)
+    assert stats["hits"] == stats["misses"] == 0
     campaign.close()
 
 

@@ -162,56 +162,6 @@ def test_stuck_gate_output_matches_product_stuck(rng):
     np.testing.assert_array_equal(flim_out, device_out)
 
 
-@pytest.mark.parametrize("make_model", [one_layer_conv_model, one_layer_dense_model])
-def test_packed_backend_matches_float_fault_free(rng, make_model):
-    """The packed XNOR/popcount backend is bit-identical to the float GEMM."""
-    model = make_model()
-    x = rng.standard_normal((3,) + tuple(model.input_shape)).astype(np.float32)
-    reference = model.predict(x)
-    model.set_execution_backend("packed")
-    np.testing.assert_array_equal(model.predict(x), reference)
-    model.set_execution_backend("float")
-
-
-@pytest.mark.parametrize("make_model", [one_layer_conv_model, one_layer_dense_model])
-@pytest.mark.parametrize("spec", [
-    FaultSpec.bitflip(0.3),
-    FaultSpec.stuck_at(0.3),
-    FaultSpec.stuck_at(0.3, semantics=Semantics.WEIGHT),
-])
-def test_packed_backend_matches_float_under_faults(rng, make_model, spec):
-    """Fault hooks compose with the packed path: identical corrupted maps."""
-    model = make_model()
-    x = rng.standard_normal((2,) + tuple(model.input_shape)).astype(np.float32)
-    generator = FaultGenerator(spec, rows=ROWS, cols=COLS, seed=3)
-    plan = generator.generate(model)
-    with FaultInjector().injecting(model, plan):
-        float_out = model.predict(x)
-    model.set_execution_backend("packed")
-    with FaultInjector().injecting(model, plan):
-        packed_out = model.predict(x)
-    model.set_execution_backend("float")
-    np.testing.assert_array_equal(packed_out, float_out)
-
-
-def test_packed_backend_falls_back_for_product_and_same_padding(rng):
-    """Semantics the packed path cannot express run the float path — and
-    still produce identical results with the backend switched on."""
-    model = one_layer_conv_model(padding="same")
-    layer = model.layers[0]
-    x = rng.standard_normal((2, 5, 5, 2)).astype(np.float32)
-    masks = empty_masks()
-    masks.flip_mask[1, 0] = True
-    masks.flip_semantics = "product"
-    with FaultInjector().injecting(model, {layer.name: masks}):
-        float_out = model.predict(x)
-    model.set_execution_backend("packed")
-    with FaultInjector().injecting(model, {layer.name: masks}):
-        packed_out = model.predict(x)
-    model.set_execution_backend("float")
-    np.testing.assert_array_equal(packed_out, float_out)
-
-
 def test_serial_and_multiprocessing_sweeps_bit_identical(rng):
     """Same seeds -> bit-identical SweepResult across executors (§IV)."""
     from repro.core import FaultCampaign
@@ -243,9 +193,9 @@ def test_output_level_abstraction_diverges_but_correlates(rng):
     assert np.abs(fast).max() <= layer.reduction_length()
 
 
-def test_scenario_grid_bit_identical_across_executors_and_backends(rng):
+def test_scenario_grid_bit_identical_across_executors(rng):
     """A compiled scenario is engine cargo: same seed -> bit-identical
-    trajectories for shared_memory/packed vs serial/float (PR 4)."""
+    trajectories for shared_memory vs serial."""
     from repro.scenarios import (Episode, FaultClause, Scenario, Timeline,
                                  run_scenario)
 
@@ -262,6 +212,6 @@ def test_scenario_grid_bit_identical_across_executors_and_backends(rng):
     kwargs = dict(repeats=2, seed=9, rows=ROWS, cols=COLS)
     serial = run_scenario(scenario, model, x, y, **kwargs)
     pooled = run_scenario(scenario, model, x, y, executor="shared_memory",
-                          n_jobs=2, backend="packed", **kwargs)
+                          n_jobs=2, **kwargs)
     np.testing.assert_array_equal(serial.accuracies, pooled.accuracies)
     assert serial.baseline == pooled.baseline

@@ -4,7 +4,7 @@ end-to-end telemetry contract.
 The two load-bearing properties:
 
 * **determinism** — instrumented runs are bit-identical to
-  uninstrumented runs on every executor × backend combination, and a
+  uninstrumented runs on every executor, and a
   :class:`FakeClock` makes the trace itself byte-reproducible;
 * **compatibility** — the legacy ``meta`` counter blocks
   (``resilience``, ``input_cache``) stay attached (now always, even on
@@ -259,26 +259,22 @@ def test_campaign_spans_and_metrics_under_fake_clock(trained_setup):
 
 
 def test_instrumented_runs_bit_identical_to_uninstrumented(trained_setup):
-    """The acceptance criterion: every executor × backend combo yields
-    the exact same accuracies with and without instrumentation."""
+    """The acceptance criterion: every executor yields the exact same
+    accuracies with and without instrumentation."""
     model, x, y = trained_setup
-    combos = [("serial", "float"), ("serial", "packed"),
-              ("multiprocessing", "float"), ("shared_memory", "packed")]
-    for executor, backend in combos:
+    for executor in ("serial", "multiprocessing", "shared_memory"):
         plain = FaultCampaign(model, x, y, rows=8, cols=4,
-                              executor=executor, n_jobs=2,
-                              backend=backend)
+                              executor=executor, n_jobs=2)
         with plain:
             bare = plain.run(FaultSpec.bitflip, **SWEEP)
         observed = FaultCampaign(model, x, y, rows=8, cols=4,
                                  executor=executor, n_jobs=2,
-                                 backend=backend,
                                  obs=Observability(
                                      clock=FakeClock(tick=0.125)))
         with observed:
             traced = observed.run(FaultSpec.bitflip, **SWEEP)
         np.testing.assert_array_equal(bare.accuracies, traced.accuracies,
-                                      err_msg=f"{executor}/{backend}")
+                                      err_msg=executor)
         assert bare.baseline == traced.baseline
 
 

@@ -273,7 +273,7 @@ def test_reducer_quarantines_whole_cell_once():
 # -- journal crash recovery -----------------------------------------------
 
 HEADER = {"xs": [0.0], "repeats": 1, "seed": 0, "rows": 8, "cols": 4,
-          "layers": None, "backend": "float", "label": "t"}
+          "layers": None, "label": "t"}
 
 
 def test_journal_fsync_opt_in(tmp_path, monkeypatch):

@@ -305,17 +305,10 @@ def test_run_scenario_different_seeds_differ():
     assert not np.array_equal(a.accuracies, b.accuracies)
 
 
-@pytest.mark.parametrize("executor,backend", [
-    ("serial", "packed"),
-    ("multiprocessing", "float"),
-    ("multiprocessing", "packed"),
-    ("shared_memory", "float"),
-    ("shared_memory", "packed"),
-])
-def test_run_scenario_bit_identical_across_engine_combos(executor, backend):
+@pytest.mark.parametrize("executor", ["multiprocessing", "shared_memory"])
+def test_run_scenario_bit_identical_across_engine_combos(executor):
     """Same scenario + seed ⇒ bit-identical trajectories on every
-    executor × backend combination (the engine's §IV contract extends to
-    compiled grids)."""
+    executor (the engine's §IV contract extends to compiled grids)."""
     model = small_model()
     x, y = small_data()
     scenario = aging_scenario()
@@ -323,7 +316,7 @@ def test_run_scenario_bit_identical_across_engine_combos(executor, backend):
                              rows=ROWS, cols=COLS)
     other = run_scenario(scenario, model, x, y, repeats=2, seed=5,
                          rows=ROWS, cols=COLS, executor=executor,
-                         n_jobs=2, backend=backend)
+                         n_jobs=2)
     np.testing.assert_array_equal(reference.accuracies, other.accuracies)
     assert reference.baseline == other.baseline
 

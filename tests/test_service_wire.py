@@ -43,14 +43,13 @@ def roundtrip(payload):
 EXAMPLE_REQUESTS = [
     (RunRequest("fig4a"), False),
     (RunRequest("svc-tiny", params={"rates": [0.0, 0.5], "repeats": 3},
-                executor="shared_memory", n_jobs=4, backend="packed",
-                cache_bytes=1 << 20, quick=True, retries=0,
-                job_timeout=2.5, degrade=False), True),
+                executor="shared_memory", n_jobs=4, cache_bytes=1 << 20,
+                quick=True, retries=0, job_timeout=2.5, degrade=False), True),
 ]
 
 EXAMPLE_REPORT = RunReport(
     experiment="svc-tiny", params={"rates": [0.0, 0.5]},
-    engine={"executor": "serial", "backend": "float"},
+    engine={"executor": "serial"},
     series=[SeriesReport("svc", [0.0, 0.5], [0.9, 0.4], [0.0, 0.1],
                          baseline=0.9),
             SeriesReport("other", [1.0], [0.5], [0.0])],
@@ -128,7 +127,6 @@ if HAVE_HYPOTHESIS:
         executor=st.sampled_from(["serial", "multiprocessing",
                                   "shared_memory"]),
         n_jobs=st.one_of(st.none(), st.integers(0, 64)),
-        backend=st.sampled_from(["float", "packed"]),
         cache_bytes=st.one_of(st.none(), st.integers(0, 1 << 40)),
         quick=st.booleans(),
         retries=st.integers(0, 9),
@@ -215,6 +213,8 @@ def bad_payloads():
         {**good_request, "journal": "/tmp/evil.jsonl"}
     yield "request-resume-on-wire", wire.decode_request, \
         {**good_request, "resume": True}
+    yield "request-backend-on-wire", wire.decode_request, \
+        {**good_request, "backend": "float"}
     yield "request-missing-experiment", wire.decode_request, \
         {k: v for k, v in good_request.items() if k != "experiment"}
     yield "request-durable-not-bool", wire.decode_request, \
@@ -253,6 +253,24 @@ def test_malformed_payloads_rejected(label, decoder, payload):
     assert issubclass(wire.WireError, ValueError)  # the exit-2 class
 
 
+def test_stored_backend_field_dropped_on_recovery(tmp_path):
+    """A job store whose records carry the former ``backend`` request
+    field still recovers: the field is dropped, the job is unchanged."""
+    from repro.service.store import JobStore
+    store = JobStore(tmp_path)
+    records = [make_record(state=JobState.DONE),
+               make_record(state=JobState.RUNNING, durable=True)]
+    for record, backend in zip(records, ("float", "packed")):
+        payload = wire.encode_job(record)
+        payload["request"]["backend"] = backend
+        store.record_path(record.job_id + backend).write_text(
+            json.dumps(payload))
+    finished, to_requeue = store.recover()
+    assert finished == records[:1]
+    assert [record.request for record in to_requeue] == [records[1].request]
+    assert to_requeue[0].resumes == records[1].resumes + 1
+
+
 def test_request_values_validated_after_decode():
     from repro.api import ApiError
     payload = wire.encode_request(RunRequest("fig4a"))
@@ -285,10 +303,13 @@ def test_malformed_submissions_never_queued(tmp_path):
 
     from repro.service import ServiceClient, start_in_thread
 
+    backend = json.dumps({"experiment": "fig4a",
+                          "backend": "packed"}).encode()
     bodies = [b"not json at all",
               json.dumps({"experiment": "no-such-experiment"}).encode(),
               json.dumps({"experiment": "fig4a",
                           "journal": "/tmp/evil"}).encode(),
+              backend,
               json.dumps({"experiment": "fig4a",
                           "params": {"bogus_param": 1}}).encode(),
               json.dumps(["fig4a"]).encode()]
@@ -300,8 +321,11 @@ def test_malformed_submissions_never_queued(tmp_path):
                                headers={"Content-Type": "application/json"})
             response = connection.getresponse()
             assert 400 <= response.status < 500, body
-            response.read()
+            text = response.read()
             connection.close()
+            if body == backend:  # the removed field is an unknown field
+                assert response.status == 400
+                assert b"unknown field(s) ['backend']" in text
         client = ServiceClient(port=port)
         assert client.jobs() == []
         assert client.health()["jobs"] == {}
