@@ -8,15 +8,10 @@ binary LeNet / synthetic MNIST) through
   mapping per attach, a full ``model.evaluate`` per repetition and a
   baseline recomputation per ``run()``;
 * the job-based **engine** (``repro.core.engine``) on every executor
-  (serial / multiprocessing / shared_memory).
+  (serial / shared_memory).
 
-Besides wall-clock speedups the JSON tracks the **payload bytes** each
-pool executor pickles into a worker (shared memory must beat the pickled
-baseline — the script fails otherwise), the **prefix planes** the
-shared-memory executor publishes (workers must attach the parent's
-fault-free prefix activations instead of recomputing them — the script
-fails if nothing was published), the **input-cache hit rate** of a
-campaign with more test batches than the legacy 8-slot FIFO held (must
+Besides wall-clock speedups the JSON tracks the **input-cache hit
+rate** of a campaign with more test batches than the legacy 8-slot FIFO held (must
 be >0%, where the FIFO cycled at exactly 0%), the **journal
 overhead**: the cost of streaming cells into a resumable JSONL journal
 plus the cost of resuming a completed journal (which evaluates nothing),
@@ -101,7 +96,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--images", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None,
-                        help="workers for the multiprocessing executor "
+                        help="workers for the shared_memory executor "
                              "(default: cpu count)")
     parser.add_argument("--json", type=Path, default=None,
                         help="output path (default: "
@@ -133,11 +128,9 @@ def main(argv=None) -> int:
     print(f"seed serial engine          : {seed_time:7.2f} s")
 
     timings: dict[str, float] = {"seed_serial": seed_time}
-    payload_bytes: dict[str, int] = {}
-    prefix_planes: dict[str, dict] = {}
     resilience: dict[str, dict] = {}
     mismatches: list[str] = []
-    for executor in ("serial", "multiprocessing", "shared_memory"):
+    for executor in ("serial", "shared_memory"):
         campaign = FaultCampaign(model, test.x, test.y, executor=executor,
                                  n_jobs=n_jobs)
         result, duration = timed(
@@ -145,12 +138,6 @@ def main(argv=None) -> int:
             seed=seed)
         key = f"engine_{executor}"
         timings[key] = duration
-        shipped = getattr(campaign._executor, "payload_bytes", None)
-        if shipped is not None:
-            payload_bytes[executor] = shipped
-        planes = result.meta.get("prefix_plane")
-        if planes is not None:
-            prefix_planes[executor] = planes
         # a timing measured through retries, rebuilds or a degraded rung
         # is not a timing of the named executor — record and reject it
         # (the zeroed resilience block is always attached; only nonzero
@@ -171,26 +158,8 @@ def main(argv=None) -> int:
         if not identical:
             mismatches.append(key)
         print(f"engine {executor:21s}: {duration:7.2f} s  "
-              f"bit-identical={identical}"
-              + (f"  payload={shipped}B" if shipped else "")
-              + (f"  planes={planes['batches']}" if planes else ""))
-        campaign.close()  # unlink the published shared-memory planes
-
-    # the shared-memory executor must have published prefix activation
-    # planes for the workers to attach (no per-worker prefix recompute)
-    planes = prefix_planes.get("shared_memory")
-    if not planes or planes.get("batches", 0) <= 0:
-        mismatches.append("prefix_planes_missing_shared_memory")
-        print("FAIL: no prefix activation planes published for "
-              "shared_memory", file=sys.stderr)
-
-    shm_payload = payload_bytes.get("shared_memory")
-    mp_payload = payload_bytes.get("multiprocessing")
-    if shm_payload and mp_payload and shm_payload >= mp_payload:
-        mismatches.append("shared_memory_payload_not_smaller")
-        print(f"FAIL: shared-memory payload ({shm_payload} B) does not "
-              f"undercut the pickled baseline ({mp_payload} B)",
-              file=sys.stderr)
+              f"bit-identical={identical}")
+        campaign.close()
 
     # journal overhead: stream every cell to JSONL, then resume the
     # finished journal (pure replay — zero evaluations)
@@ -297,12 +266,8 @@ def main(argv=None) -> int:
             k: round(timings["seed_serial"] / v, 2)
             for k, v in timings.items()
             if k not in ("seed_serial", "journal_full_resume")},
-        "serial_vs_parallel": round(
-            timings["engine_serial"] / timings["engine_multiprocessing"], 2),
         "serial_vs_shared_memory": round(
             timings["engine_serial"] / timings["engine_shared_memory"], 2),
-        "payload_bytes": payload_bytes,
-        "prefix_plane": prefix_planes,
         "resilience": resilience,  # empty on a clean (undisturbed) run
         "input_cache": {
             "batch_size": cache_batch_size,

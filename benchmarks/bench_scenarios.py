@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     timings: dict[str, float] = {"compile_s": compile_time}
     mismatches: list[str] = []
     reference = None
-    for executor in ("serial", "multiprocessing", "shared_memory"):
+    for executor in ("serial", "shared_memory"):
         result, duration = timed(
             run_scenario, scenario, model, test.x, test.y, repeats=repeats,
             seed=seed, executor=executor, n_jobs=n_jobs)

@@ -20,7 +20,7 @@ from .errors import ApiError
 __all__ = ["RunRequest", "EXECUTORS"]
 
 #: executor names the engine resolves (see repro.core.engine)
-EXECUTORS = ("serial", "multiprocessing", "shared_memory")
+EXECUTORS = ("serial", "shared_memory")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class RunRequest:
         reclaim the stuck worker).  ``None`` disables timeouts.
     degrade:
         Walk the executor degradation ladder
-        (``shared_memory`` → ``multiprocessing`` → ``serial``) when a
-        rung keeps failing; ``False`` raises instead (``--no-degrade``).
+        (``shared_memory`` → ``serial``) when the pool keeps failing;
+        ``False`` raises instead (``--no-degrade``).
     """
 
     experiment: str

@@ -5,12 +5,10 @@ integer domain the hardware actually operates in: bipolar {-1, +1} values
 are packed 64-per-word (+1 -> bit 1), products become XNOR, and the
 accumulation becomes ``K - 2 * popcount(xor)``.
 
-Beyond serving as an independent oracle for the binary layers, they are an
-execution backend: :mod:`repro.binary.layers` runs its dense/conv forward
-passes through :func:`packed_matmul_words` when a layer's execution backend
-is set to ``"packed"``.  Because every partial sum of ±1 terms is a small
-integer (|sum| <= K < 2**24), the float32 GEMM is exact too — the packed
-path is bit-identical to it, just ~64x denser in memory traffic.
+They are the test oracle for the binary layers, not an execution path:
+inference runs :mod:`repro.binary.layers`' float32 GEMM, which is exact
+because every partial sum of ±1 terms is a small integer
+(|sum| <= K < 2**24), and the tests check it against these kernels.
 """
 
 from __future__ import annotations

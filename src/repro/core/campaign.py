@@ -9,8 +9,8 @@ for aggregation.
 
 Execution is delegated to :mod:`repro.core.engine`: the sweep grid is
 flattened into independent jobs with pre-generated fault plans and run
-through a pluggable executor (``serial``, ``multiprocessing`` or
-``shared_memory``).  All executors are bit-identical under fixed seeds.
+through a pluggable executor (``serial`` or the ``shared_memory``
+process pool).  All executors are bit-identical under fixed seeds.
 
 Campaigns can be **journaled**: ``run(..., journal=path)`` streams every
 completed cell into a JSONL file as it arrives, and a rerun with the same
@@ -102,12 +102,12 @@ class FaultCampaign:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"multiprocessing"``,
-        ``"shared_memory"``, or an executor object with a
+        ``"serial"`` (default), ``"shared_memory"``, or an executor
+        object with a
         ``run(jobs, evaluator)`` method (streaming executors additionally
         provide ``run_iter``).
     n_jobs:
-        Worker count for the pool executors; ``None`` means
+        Worker count for the pool executor; ``None`` means
         ``os.cpu_count()`` (or the ``REPRO_N_JOBS`` environment variable).
     cache_bytes:
         Byte cap, per quantized layer, for this campaign's share of the
@@ -163,16 +163,11 @@ class FaultCampaign:
         self.close()
 
     def close(self) -> None:
-        """Release everything this campaign holds: shared-memory planes
-        published by its executor (unlinked from ``/dev/shm``) and its
-        *own* memoized state — other campaigns sharing the model keep
-        their cache entries (see
+        """Release this campaign's *own* memoized state — other
+        campaigns sharing the model keep their cache entries (see
         :meth:`CampaignEvaluator.release_owned`).  Idempotent; also
         usable as a context manager (``with FaultCampaign(...)``).
         """
-        release = getattr(self._executor, "release_planes", None)
-        if release is not None:
-            release()
         self._evaluator.release_owned()
 
     def input_cache_stats(self) -> dict:
@@ -330,10 +325,6 @@ class FaultCampaign:
                             "executor": executor_name,
                             "input_cache":
                                 self._evaluator.input_cache_stats()}
-                    prefix_plane = getattr(self._executor,
-                                           "prefix_plane", None)
-                    if prefix_plane is not None:
-                        meta["prefix_plane"] = prefix_plane
                     # always attach the counters block, zeroed on clean
                     # unsupervised runs — consumers (and journaled
                     # resumes) can rely on its presence
@@ -398,16 +389,6 @@ class FaultCampaign:
         registry.gauge("repro_input_cache_bytes",
                        "bytes pinned by the input-representation "
                        "cache").set(cache.get("bytes", 0))
-        plane = meta.get("prefix_plane")
-        if plane:
-            registry.gauge(
-                "repro_prefix_plane_batches",
-                "shared-memory prefix activation planes "
-                "published").set(plane.get("batches", 0))
-            registry.counter(
-                "repro_prefix_plane_adoptions_total",
-                "runs that reused already-published shared "
-                "planes").inc(1 if plane.get("reused") else 0)
         stats_to_metrics(meta["resilience"], registry)
 
     def _fingerprint(self) -> str:

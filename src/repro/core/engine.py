@@ -55,36 +55,30 @@ Executors
 ---------
 ``serial``
     In-process loop.  Shares the caller's evaluator and all its caches.
-``multiprocessing``
-    A process pool (default ``n_jobs=os.cpu_count()``, overridable with
-    the ``REPRO_N_JOBS`` environment variable); each worker builds one
-    evaluator in its initializer and reuses it for every job it is
-    handed.  The test set is pickled into each worker once.
 ``shared_memory``
-    Same pool, but the test set **and the parent's cached fault-free
-    prefix activation batches** (plus the first suffix layer's derived
-    im2col matrices) live in
-    :mod:`multiprocessing.shared_memory` planes that workers attach
-    **zero-copy** — the per-worker payload shrinks to the model plus a
-    few block descriptors, independent of dataset size, and no worker
-    recomputes the prefix.  Planes are managed by a
-    :class:`SharedPlaneRegistry`: fingerprinted against data + weights
-    (stale planes are refused like mismatched journals), cached across
-    ``run`` calls of one campaign, and unlinked on failure, on
-    :meth:`FaultCampaign.close`, or at interpreter exit.
+    A process pool (default ``n_jobs=os.cpu_count()``, overridable with
+    the ``REPRO_N_JOBS`` environment variable) whose workers share the
+    parent's memory copy-on-write.  Before the pool forks, the parent
+    warms the caller's evaluator — the baseline, the fault-free prefix
+    activation batches and the first suffix layer's im2col matrices —
+    and every worker inherits that warm evaluator through its
+    initializer: nothing is pickled, published or attached, and no
+    worker recomputes the prefix.  Each worker pins its BLAS to one
+    thread (the parent is left alone), so ``n_jobs`` workers do not
+    oversubscribe the cores.
 
-Both pool executors run on a :class:`~repro.core.workerpool.WorkerPool`
-(a ``concurrent.futures.ProcessPoolExecutor``) under a
-:class:`~repro.core.resilience.PoolSupervisor` and *stream* results back
-through :meth:`run_iter` as their futures complete, so callers can
-journal/report progress as cells finish, and both preserve the caller's
-warm layer caches: the model's transient state is stripped only for the
-duration of worker start-up and restored afterwards.
+The pool runs on a :class:`~repro.core.workerpool.WorkerPool` (a
+``concurrent.futures.ProcessPoolExecutor`` under the ``fork`` start
+method) under a :class:`~repro.core.resilience.PoolSupervisor` and
+*streams* results back through :meth:`run_iter` as their futures
+complete, so callers can journal/report progress as cells finish.  When
+a pool keeps failing, the executor degrades to the in-process loop
+(``shared_memory`` → ``serial``).
 
 Batch-level parallelism
 -----------------------
 When the job grid is smaller than the pool (e.g. a single-point sweep on
-a many-core machine), the pool executors split *within* each evaluation:
+a many-core machine), the pool executor splits *within* each evaluation:
 test batches are sharded across workers and the per-shard
 ``(correct, total)`` counts reduced in the parent.  Integer count
 reduction keeps the accuracy bit-identical to the unsharded division.
@@ -95,8 +89,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import pickle
-import warnings
 import weakref
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
@@ -118,9 +110,7 @@ __all__ = [
     "CampaignJob",
     "CampaignEvaluator",
     "SerialExecutor",
-    "MultiprocessingExecutor",
     "SharedMemoryExecutor",
-    "SharedPlaneRegistry",
     "build_jobs",
     "get_executor",
     "plan_has_faults",
@@ -141,12 +131,9 @@ def fingerprint_data_and_weights(x_test: np.ndarray, y_test: np.ndarray,
                                  model: Sequential) -> "hashlib._Hash":
     """SHA-1 digest of a test-set snapshot + model weights.
 
-    The single source of truth for both staleness guards — journal
-    resume (:meth:`FaultCampaign._fingerprint`) and shared-memory plane
-    attachment (:meth:`CampaignEvaluator.plane_fingerprint`) — so the
-    two checks can never drift apart in what they cover.  Returns the
-    open hash object; callers append their context-specific fields
-    (grid geometry, timing) before ``hexdigest()``.
+    The staleness guard of journal resume
+    (:meth:`FaultCampaign._fingerprint`).  Returns the open hash object;
+    callers may append context-specific fields before ``hexdigest()``.
     """
     digest = hashlib.sha1()
     for array in (x_test, y_test):
@@ -209,13 +196,10 @@ def build_jobs(model: Sequential,
 class CampaignEvaluator:
     """Evaluates fault plans on a fixed model + test set, with caching.
 
-    The evaluator snapshots ``x_test``/``y_test`` at construction
-    (``copy_data=True``, the default) and marks the snapshot read-only, so
-    the layer-level input caches may key on identity and later caller-side
-    mutations cannot silently serve stale prefix activations.  Workers
-    attaching process-private or shared-memory arrays pass
-    ``copy_data=False`` to stay zero-copy; such arrays must never be
-    written while the evaluator lives.
+    The evaluator snapshots ``x_test``/``y_test`` at construction and
+    marks the snapshot read-only, so the layer-level input caches may key
+    on identity and later caller-side mutations cannot silently serve
+    stale prefix activations.
 
     Cache invalidation keys on ``model.weights_version``, which training
     steps and ``load_state_dict`` bump.  Code that mutates
@@ -227,16 +211,16 @@ class CampaignEvaluator:
     def __init__(self, model: Sequential, x_test: np.ndarray,
                  y_test: np.ndarray, batch_size: int = 256,
                  continue_time_across_layers: bool = True,
-                 copy_data: bool = True, cache_bytes: int | None = None):
+                 cache_bytes: int | None = None):
         self.model = model
         self.batch_size = batch_size
         #: per-layer byte cap for this evaluator's share of the derived
         #: input-representation caches (see repro.binary.layers)
         self.cache_bytes = (DEFAULT_INPUT_CACHE_BYTES if cache_bytes is None
                             else cache_bytes)
-        self.x_test = np.array(x_test) if copy_data else x_test.view()
+        self.x_test = np.array(x_test)
         self.x_test.flags.writeable = False
-        self.y_test = np.array(y_test) if copy_data else y_test.view()
+        self.y_test = np.array(y_test)
         self.y_test.flags.writeable = False
         self.injector = FaultInjector(continue_time_across_layers)
         #: the layers whose input-cache owner every evaluation scopes,
@@ -258,10 +242,6 @@ class CampaignEvaluator:
         #: budget/statistics token identifying this evaluator in the
         #: layers' input caches without keeping it alive
         self._cache_token = weakref.ref(self)
-        self._plane_fingerprint: str | None = None
-        #: how many times a prefix was evaluated from ``x_test`` from
-        #: scratch (0 on workers that adopted published prefix planes)
-        self.prefix_computations = 0
 
     def _check_weights_version(self) -> None:
         """Drop caches when the model's parameters changed in place."""
@@ -281,8 +261,12 @@ class CampaignEvaluator:
         self._baseline = None
         self._suffix_batches.clear()
         self._tails.clear()
-        self._plane_fingerprint = None
-        _strip_transient_state(self.model)
+        for layer in self.model.all_layers():
+            # a fresh input cache per layer; training caches are dropped
+            if hasattr(layer, "_input_cache"):
+                layer._input_cache = type(layer._input_cache)()
+            if hasattr(layer, "_cache"):
+                layer._cache = None
 
     def release_owned(self) -> None:
         """Drop this evaluator's own memoized state — the baseline, the
@@ -292,7 +276,6 @@ class CampaignEvaluator:
         self._baseline = None
         self._suffix_batches.clear()
         self._tails.clear()
-        self._plane_fingerprint = None
         for layer in self._quant_layers:
             layer._input_cache.drop_owner(self._cache_token)
 
@@ -353,21 +336,6 @@ class CampaignEvaluator:
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
         return totals
 
-    def plane_fingerprint(self) -> str:
-        """Digest identifying the activation planes this evaluator would
-        publish: test-set snapshot, model weights, batch geometry and
-        injection timing.  Attaching a plane published under any other
-        fingerprint is refused (like resuming a mismatched journal)."""
-        self._check_weights_version()
-        if self._plane_fingerprint is None:
-            digest = fingerprint_data_and_weights(self.x_test, self.y_test,
-                                                  self.model)
-            digest.update(f"{self.batch_size}|"
-                          f"{self.injector.continue_time_across_layers}"
-                          .encode())
-            self._plane_fingerprint = digest.hexdigest()
-        return self._plane_fingerprint
-
     # -- prefix/suffix splitting ----------------------------------------
     def _split_for(self, layer_names) -> int:
         """Index of the first top-level layer whose subtree contains any of
@@ -396,7 +364,7 @@ class CampaignEvaluator:
         Cached splits are reused hierarchically before anything runs from
         scratch: a shard view slices the full split's batch list, and a
         deeper split continues forward from the deepest cached shallower
-        split (e.g. from adopted shared-memory prefix planes) — both are
+        split (e.g. the baseline split a pool worker inherits) — both are
         the same per-batch arithmetic, so results stay bit-identical.
         """
         key = (split, shard, n_shards)
@@ -432,7 +400,6 @@ class CampaignEvaluator:
                 z.flags.writeable = False
                 batches.append((z, labels))
             return batches
-        self.prefix_computations += 1
         prefix = self.model.layers[:split]
         n = len(self.x_test)
         for index, start in enumerate(range(0, n, self.batch_size)):
@@ -445,46 +412,6 @@ class CampaignEvaluator:
             z.flags.writeable = False
             batches.append((z, self.y_test[start:start + self.batch_size]))
         return batches
-
-    def adopt_prefix(self, split: int,
-                     batches: list[tuple[np.ndarray, np.ndarray]],
-                     reps: list[tuple[str, object]] | None = None) -> None:
-        """Install externally computed fault-free prefix activations.
-
-        Pool workers call this with activation batches attached from the
-        parent's shared-memory planes, eliminating the once-per-worker
-        prefix recomputation.
-
-        Parameters
-        ----------
-        split : int
-            Top-level layer index the activations were computed up to
-            (the publisher's :meth:`_baseline_split`).
-        batches : list of (ndarray, ndarray)
-            One ``(activations, labels)`` pair per *global* test batch,
-            in batch order; the activation arrays must be read-only.
-        reps : list of (str, object), optional
-            The derived input representation (the ``"cols"`` im2col
-            matrix) of each batch for ``model.layers[split]``, pre-seeding
-            that layer's input cache so even the one-time im2col cost is
-            shared.
-
-        The caller is responsible for the batches matching this
-        evaluator's data and weights — plane publishers enforce that with
-        the :meth:`plane_fingerprint` check at attach time.
-        """
-        self._check_weights_version()
-        batches = list(batches)
-        self._suffix_batches[(split, 0, 1)] = batches
-        if not reps or split >= len(self.model.layers):
-            return
-        layer = self.model.layers[split]
-        cache = getattr(layer, "_input_cache", None)
-        if not hasattr(cache, "configure"):
-            return
-        self._configure_cache(cache)
-        for (z, _), (tag, value) in zip(batches, reps):
-            cache.put(tag, z, value, owner=self._cache_token)
 
     def _tail_for(self, split: int) -> list[tuple]:
         """``model.layers[split:]`` compiled once per split (and again
@@ -558,158 +485,6 @@ class CampaignEvaluator:
         return job.point_index, job.repeat_index, self.evaluate_plan(job.plan)
 
 
-# -- shared-memory planes --------------------------------------------------
-
-def _cleanup_warning(warn: Callable[[str], None] | None, message: str) -> None:
-    """Surface a shared-memory cleanup failure: through the caller's
-    ``on_warning`` hook when one is wired, else as a ResourceWarning —
-    never silently (a swallowed unlink failure is a leaked ``psm_*``
-    block until reboot)."""
-    if warn is not None:
-        warn(message)
-    else:
-        warnings.warn(message, ResourceWarning, stacklevel=3)
-
-
-def _release_shared_blocks(blocks: list,
-                           warn: Callable[[str], None] | None = None) -> None:
-    """Close + unlink every owned block (idempotent; finalizer-safe).
-
-    Failures are reported via ``warn``/ResourceWarning but never raised:
-    this runs from ``finally`` blocks and weakref finalizers, where an
-    exception would mask the original error (or abort interpreter
-    shutdown) while still leaking the remaining blocks.
-    """
-    while blocks:
-        shm = blocks.pop()
-        try:
-            shm.close()
-        except Exception as error:
-            _cleanup_warning(warn, "failed to close shared-memory block "
-                                   f"{shm.name}: {error!r}")
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass  # already unlinked (double release, external cleanup)
-        except Exception as error:
-            _cleanup_warning(warn, "failed to unlink shared-memory block "
-                                   f"{shm.name}: {error!r}; it may stay "
-                                   "allocated until reboot")
-
-
-class SharedPlaneRegistry:
-    """Lifecycle manager for shared-memory *planes* — read-only ndarrays
-    published once by a campaign parent and attached zero-copy by workers.
-
-    Parent side: :meth:`publish` copies an array into a freshly created
-    :class:`multiprocessing.shared_memory.SharedMemory` block and returns
-    a picklable descriptor.  Planes stay alive across ``run`` calls of the
-    same campaign (campaign-aware caching) until :meth:`release` — which a
-    ``weakref`` finalizer also invokes at garbage collection or
-    interpreter exit, so interrupted campaigns never leak ``psm_*``
-    blocks.
-
-    Worker side: :meth:`attach` maps a descriptor zero-copy after checking
-    its fingerprint against the registry's expected one.  A plane
-    published for different data/weights (a stale registry, a recycled
-    descriptor) is refused with :class:`ValueError`, exactly like resuming
-    a mismatched journal.
-    """
-
-    def __init__(self, fingerprint: str = ""):
-        self.fingerprint = fingerprint
-        self._owned: list = []      # blocks this registry created
-        self._attached: list = []   # blocks this registry merely mapped
-        #: cleanup-failure hook (``on_warning(message)``); ``None`` falls
-        #: back to a ResourceWarning.  The finalizer below deliberately
-        #: keeps the warnings-module default: binding a callback here
-        #: would pin the callback's owner (typically the executor) alive.
-        self.on_warning: Callable[[str], None] | None = None
-        self._finalizer = weakref.finalize(self, _release_shared_blocks,
-                                           self._owned)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of the published (owned) blocks."""
-        return sum(shm.size for shm in self._owned)
-
-    @property
-    def plane_count(self) -> int:
-        return len(self._owned)
-
-    def publish(self, array: np.ndarray, label: str = "") -> dict:
-        """Copy ``array`` into a new shared-memory block.
-
-        Returns
-        -------
-        dict
-            Picklable descriptor (``name``, ``shape``, ``dtype``,
-            ``fingerprint``, ``label``) for :meth:`attach`.
-        """
-        array = np.ascontiguousarray(array)
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(1, array.nbytes))
-        self._owned.append(shm)
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-        view[...] = array
-        return {"name": shm.name, "shape": tuple(array.shape),
-                "dtype": str(array.dtype), "fingerprint": self.fingerprint,
-                "label": label}
-
-    def attach(self, descriptor: dict) -> np.ndarray:
-        """Attach one published plane zero-copy as a read-only array.
-
-        Raises
-        ------
-        ValueError
-            If the descriptor's fingerprint does not match this
-            registry's — the plane belongs to different data/weights.
-        """
-        if descriptor.get("fingerprint") != self.fingerprint:
-            raise ValueError(
-                f"stale shared-memory plane {descriptor.get('label') or descriptor.get('name')!r}: "
-                f"published for fingerprint {descriptor.get('fingerprint')!r}"
-                f" but {self.fingerprint!r} expected; refusing to attach")
-        from multiprocessing import shared_memory
-
-        # NOTE: CPython < 3.13 registers attachments with the (fork-shared)
-        # resource tracker as if this process owned the block (bpo-39959).
-        # That is harmless here — registrations deduplicate and the parent
-        # unregisters on unlink — and unregistering per worker would race
-        # the parent into a double-unregister.
-        shm = shared_memory.SharedMemory(name=descriptor["name"])
-        self._attached.append(shm)
-        array = np.ndarray(tuple(descriptor["shape"]),
-                           dtype=np.dtype(descriptor["dtype"]),
-                           buffer=shm.buf)
-        array.flags.writeable = False
-        return array
-
-    def discard(self, descriptor: dict) -> None:
-        """Unlink one published plane early (e.g. a partially built set
-        that will never be shipped).  Unknown names are ignored."""
-        for shm in list(self._owned):
-            if shm.name == descriptor.get("name"):
-                self._owned.remove(shm)
-                _release_shared_blocks([shm])
-                return
-
-    def release(self) -> None:
-        """Close every mapping and unlink the owned blocks (idempotent).
-        Cleanup failures are surfaced through :attr:`on_warning` (or a
-        ResourceWarning), never swallowed and never raised."""
-        for shm in self._attached:
-            try:
-                shm.close()
-            except Exception as error:
-                _cleanup_warning(self.on_warning,
-                                 "failed to close attached shared-memory "
-                                 f"block {shm.name}: {error!r}")
-        self._attached.clear()
-        _release_shared_blocks(self._owned, warn=self.on_warning)
-
-
 # -- executors ------------------------------------------------------------
 
 def _task_key(task) -> tuple[int, int]:
@@ -742,7 +517,7 @@ class SerialExecutor:
 
     With a :class:`~repro.core.resilience.RetryPolicy` the loop retries
     failed jobs with backoff and quarantines poison jobs (their cells
-    yield NaN) under the same contract as the pool executors; with
+    yield NaN) under the same contract as the pool executor; with
     ``policy=None`` (the default) the first failure raises.
     """
 
@@ -785,67 +560,16 @@ class SerialExecutor:
 
 
 _WORKER_EVALUATOR: CampaignEvaluator | None = None
-#: attached shared-memory blocks, kept referenced so the mappings survive
-_WORKER_SHM: list = []
 
 
-def _init_worker(payload: dict) -> None:
-    """Pool initializer: build the worker-local evaluator exactly once."""
+def _init_worker(evaluator: CampaignEvaluator) -> None:
+    """Pool initializer: adopt the evaluator the worker inherited from
+    the parent at fork — with its warm baseline, prefix batches and
+    im2col memo — and pin this worker's BLAS to one thread."""
     global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = CampaignEvaluator(
-        payload["model"], payload["x_test"], payload["y_test"],
-        batch_size=payload["batch_size"],
-        continue_time_across_layers=payload["continue_time"],
-        copy_data=False)  # the pickled arrays are already process-private
-
-
-def _attach_rep(registry: SharedPlaneRegistry, descriptor: dict
-                ) -> tuple[str, object]:
-    """Rebuild one published input representation from its plane."""
-    array = registry.attach(descriptor["array"])
-    return descriptor["tag"], (array, tuple(descriptor["extra"]))
-
-
-def _init_worker_shm(payload: dict) -> None:
-    """Pool initializer for the shared-memory executor: attach, don't copy.
-
-    Besides the test set, the worker attaches the parent's published
-    fault-free prefix activation planes (and, when available, the derived
-    im2col matrices) and installs them via
-    :meth:`CampaignEvaluator.adopt_prefix` — the worker never recomputes
-    the prefix.  Every attach verifies the plane fingerprint; a stale
-    plane aborts worker start-up instead of silently mixing data.
-    """
-    global _WORKER_EVALUATOR
-    registry = SharedPlaneRegistry(fingerprint=payload["planes_fingerprint"])
-    _WORKER_SHM.append(registry)  # keep the mappings alive with the worker
-    x_test = registry.attach(payload["x_shm"])
-    y_test = registry.attach(payload["y_shm"])
-    evaluator = CampaignEvaluator(
-        payload["model"], x_test, y_test,
-        batch_size=payload["batch_size"],
-        continue_time_across_layers=payload["continue_time"],
-        copy_data=False)
-    prefix = payload.get("prefix")
-    if prefix is not None:
-        batch_size = payload["batch_size"]
-        batches = []
-        for index in range(prefix["n_batches"]):
-            start = index * batch_size
-            if prefix["batches"] is None:
-                # split == 0: the "activations" are the test set itself —
-                # slice the already-attached plane instead of attaching
-                # redundant copies
-                z = x_test[start:start + batch_size]
-            else:
-                z = registry.attach(prefix["batches"][index])
-            batches.append((z, y_test[start:start + batch_size]))
-        reps = None
-        if prefix["reps"] is not None:
-            reps = [_attach_rep(registry, descriptor)
-                    for descriptor in prefix["reps"]]
-        evaluator.adopt_prefix(prefix["split"], batches, reps)
+    from .workerpool import set_blas_threads
     _WORKER_EVALUATOR = evaluator
+    set_blas_threads(1)
 
 
 def _run_worker_job(job: CampaignJob) -> JobResult:
@@ -861,56 +585,17 @@ def _run_worker_shard(task: tuple[CampaignJob, int, int]
     return job.point_index, job.repeat_index, correct, total
 
 
-def _payload_nbytes(payload: dict) -> int:
-    """Serialized size of a worker initializer payload.
+class SharedMemoryExecutor:
+    """Process-pool executor whose workers fork from a warm parent.
 
-    Arrays are counted at ``nbytes`` instead of being pickled: serializing
-    a multi-megabyte test set per :meth:`run_iter` call just to measure it
-    would dwarf the metric's value (on fork start, nothing is pickled at
-    all).  Called inside the transient-state stash so the model component
-    reflects what a worker actually receives, not the caller's warm
-    caches.
-    """
-    arrays = sum(value.nbytes for value in payload.values()
-                 if isinstance(value, np.ndarray))
-    rest = {key: value for key, value in payload.items()
-            if not isinstance(value, np.ndarray)}
-    return arrays + len(pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-@contextmanager
-def _transient_state_stashed(model: Sequential):
-    """Strip per-layer scratch state for the duration of the block, then
-    restore it.
-
-    Worker start-up must not pickle (or fork-inherit) the caller's warm
-    im2col caches — but it must not *discard* them either: a
-    serial evaluator sharing the model would silently lose its warm state
-    every time a pool spins up.
-    """
-    saved: list[tuple[object, dict]] = []
-    for layer in model.all_layers():
-        entry = {attr: getattr(layer, attr)
-                 for attr in ("_input_cache", "_cache")
-                 if hasattr(layer, attr)}
-        if entry:
-            saved.append((layer, entry))
-    _strip_transient_state(model)
-    try:
-        yield
-    finally:
-        for layer, entry in saved:
-            for attr, value in entry.items():
-                setattr(layer, attr, value)
-
-
-class MultiprocessingExecutor:
-    """Process-pool executor with worker-local models.
-
-    The model and test set ship to each worker once (pool initializer);
-    jobs only carry their fault plans.  Results stream back unordered as
-    they complete.  They are bit-identical to the serial executor because
-    plans are pre-generated and the per-batch arithmetic is unchanged.
+    Before the pool starts, the parent computes the caller's baseline,
+    fault-free prefix activation batches and the first suffix layer's
+    im2col matrices once; the workers fork afterwards and share those
+    pages copy-on-write, so nothing is pickled into them and none
+    recomputes the prefix.  Jobs only carry their fault plans.  Results
+    stream back unordered as they complete.  They are bit-identical to
+    the serial executor because plans are pre-generated and the
+    per-batch arithmetic is unchanged.
 
     When the job grid is smaller than the pool, evaluation splits at the
     batch level instead: each worker scores a shard of the test batches
@@ -920,18 +605,18 @@ class MultiprocessingExecutor:
     under a :class:`~repro.core.resilience.PoolSupervisor`: failed jobs
     retry with backoff and are quarantined (NaN cells) after
     ``max_attempts``; lost workers trigger a pool rebuild that
-    re-dispatches only the in-flight jobs; and when a rung keeps failing
-    the executor walks down its :attr:`ladder` — ultimately running the
-    remaining jobs in-process — so a campaign always completes with
-    bit-identical accuracies for every cell that completes anywhere.
+    re-dispatches only the in-flight jobs; and when the pool keeps
+    failing the executor walks down its :attr:`ladder` to the
+    in-process loop, so a campaign always completes with bit-identical
+    accuracies for every cell that completes anywhere.
     ``policy=None`` (the default) keeps the legacy semantics: one
     attempt, first failure raises.
     """
 
-    name = "multiprocessing"
+    name = "shared_memory"
     #: degradation ladder, first rung first; the final "serial" rung
     #: runs on the caller's evaluator and cannot lose workers
-    ladder: tuple[str, ...] = ("multiprocessing", "serial")
+    ladder: tuple[str, ...] = ("shared_memory", "serial")
 
     def __init__(self, n_jobs: int | None = None,
                  policy: RetryPolicy | None = None):
@@ -939,13 +624,6 @@ class MultiprocessingExecutor:
             n_jobs = int(os.environ.get("REPRO_N_JOBS", 0) or 0)
         self.n_jobs = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
         self.policy = policy
-        #: serialized size of the per-worker initializer payload on the
-        #: most recent pooled run, arrays counted at ``nbytes`` (0 after a
-        #: serial fallback, None before any run) — see _payload_nbytes
-        self.payload_bytes: int | None = None
-        #: prefix-plane metrics of the most recent pooled run (only the
-        #: shared-memory executor populates this)
-        self.prefix_plane: dict | None = None
         #: event hook: ``on_warning(message)`` is invoked for non-fatal
         #: conditions a caller should surface (e.g. a grid that cannot
         #: use the pool falling back to the serial loop).  The streaming
@@ -972,27 +650,6 @@ class MultiprocessingExecutor:
         note_stats(self.resilience, record)
         if self.on_event is not None:
             self.on_event(record)
-
-    def _make_payload(self, evaluator: CampaignEvaluator
-                      ) -> tuple[dict, Callable[[bool], None]]:
-        """Build the initializer payload.
-
-        Returns
-        -------
-        (dict, callable)
-            The payload and a ``cleanup(success)`` hook invoked after the
-            run — ``success`` is False when the run raised or was
-            abandoned, letting subclasses release resources they would
-            otherwise keep cached for the next run.
-        """
-        payload = {
-            "model": evaluator.model,
-            "x_test": np.asarray(evaluator.x_test),
-            "y_test": np.asarray(evaluator.y_test),
-            "batch_size": evaluator.batch_size,
-            "continue_time": evaluator.injector.continue_time_across_layers,
-        }
-        return payload, lambda success: None
 
     def _shard_count(self, n_pending: int, n_batches: int) -> int:
         """Shards per job when the grid underfills the pool, else 1."""
@@ -1028,8 +685,6 @@ class MultiprocessingExecutor:
                     f"grid of {len(jobs)} job(s) cannot use the "
                     f"{self.n_jobs}-worker pool; falling back to the "
                     "in-process serial loop")
-            self.payload_bytes = 0
-            self.prefix_plane = None  # this run attached no planes
             yield from self._run_rung_serial(jobs, evaluator, sharded=False,
                                              reduce=self._make_reducer(
                                                  False, 1))
@@ -1047,6 +702,10 @@ class MultiprocessingExecutor:
         modes = list(self.ladder)
         if self.policy is None or not self.policy.degrade:
             modes = modes[:1]
+        # warm the caller's evaluator before any worker forks: every
+        # worker (and every rebuilt one) inherits the baseline, the
+        # baseline split's prefix batches and its im2col memo
+        evaluator.baseline()
         remaining = tasks
         for rung, mode in enumerate(modes):
             if mode == "serial":
@@ -1054,24 +713,12 @@ class MultiprocessingExecutor:
                                                  sharded=sharded,
                                                  reduce=reduce)
                 return
-            try:
-                payload, initializer, cleanup = self._payload_for_mode(
-                    mode, evaluator)
-            except Exception as error:
-                if rung + 1 >= len(modes):
-                    raise
-                self._emit(ExecutorDegraded(
-                    from_mode=mode, to_mode=modes[rung + 1],
-                    reason=f"worker payload setup failed: {error!r}"))
-                continue
+            initializer, initargs = self._initializer(mode, evaluator)
             job_fn, shard_fn = self._pool_functions(mode)
-            with _transient_state_stashed(evaluator.model):
-                self.payload_bytes = _payload_nbytes(payload)
 
-            def pool_factory(payload=payload, initializer=initializer):
+            def pool_factory(initializer=initializer, initargs=initargs):
                 from .workerpool import WorkerPool
-                with _transient_state_stashed(evaluator.model):
-                    return WorkerPool(self.n_jobs, initializer, (payload,))
+                return WorkerPool(self.n_jobs, initializer, initargs)
 
             window = (self.n_jobs
                       if self.policy is not None
@@ -1082,11 +729,10 @@ class MultiprocessingExecutor:
                 self.policy, key=_task_key, on_event=self._emit,
                 window=window)
             stream = supervisor.run()
-            rung_done = False
             try:
                 for task, outcome in stream:
                     yield from reduce(task, outcome)
-                rung_done = True
+                return
             except SupervisorGaveUp as failure:
                 if rung + 1 >= len(modes):
                     raise
@@ -1096,12 +742,6 @@ class MultiprocessingExecutor:
                                             reason=str(failure)))
             finally:
                 stream.close()
-                cleanup(rung_done)
-                if not rung_done and mode == "shared_memory":
-                    # the planes this run advertised were just released
-                    self.prefix_plane = None
-            if rung_done:
-                return
 
     def _run_rung_serial(self, tasks: Sequence, evaluator: CampaignEvaluator,
                          *, sharded: bool, reduce) -> Iterator[JobResult]:
@@ -1166,19 +806,13 @@ class MultiprocessingExecutor:
                 yield coord[0], coord[1], entry[0] / entry[1]
         return reduce
 
-    def _payload_for_mode(self, mode: str, evaluator: CampaignEvaluator
-                          ) -> tuple[dict, Callable, Callable[[bool], None]]:
-        """``(payload, initializer, cleanup)`` for one ladder rung.
-
-        Subclasses add rungs by handling their mode and delegating the
-        rest to ``super()``; the chaos harness wraps the returned pieces
-        to inject failures without touching dispatch logic.
-        """
-        if mode != "multiprocessing":
-            raise ValueError(f"unknown executor mode {mode!r}")
-        payload, cleanup = MultiprocessingExecutor._make_payload(
-            self, evaluator)
-        return payload, _init_worker, cleanup
+    def _initializer(self, mode: str, evaluator: CampaignEvaluator
+                     ) -> tuple[Callable, tuple]:
+        """``(initializer, initargs)`` of one pool rung's workers.  The
+        arguments reach the workers by fork, never by pickle; the chaos
+        harness wraps them to inject failures without touching dispatch
+        logic."""
+        return _init_worker, (evaluator,)
 
     def _pool_functions(self, mode: str) -> tuple[Callable, Callable]:
         """The (job, shard) functions dispatched to pool workers, looked
@@ -1191,181 +825,25 @@ class MultiprocessingExecutor:
         return math.ceil(len(evaluator.x_test) / evaluator.batch_size)
 
 
-class SharedMemoryExecutor(MultiprocessingExecutor):
-    """Pool executor whose test set *and* prefix activations live in
-    shared memory.
-
-    The parent publishes ``x_test``/``y_test`` plus its cached fault-free
-    prefix activation batches (and the first suffix layer's im2col
-    matrices) as planes in a
-    :class:`SharedPlaneRegistry`; workers attach everything zero-copy in
-    their initializer.  The pickled per-worker payload carries only the
-    model and block descriptors — independent of dataset size — and no
-    worker ever recomputes the fault-free prefix.
-
-    Planes are fingerprinted against the evaluator's data + weights and
-    kept alive across ``run`` calls of the same campaign (e.g. the
-    per-layer sweeps of a Fig. 4 grid republish nothing); a fingerprint
-    change republishes, a failed or abandoned run releases immediately,
-    and a ``weakref`` finalizer unlinks whatever remains when the
-    executor is garbage-collected or the interpreter exits.
-    """
-
-    name = "shared_memory"
-    ladder: tuple[str, ...] = ("shared_memory", "multiprocessing", "serial")
-
-    def __init__(self, n_jobs: int | None = None,
-                 policy: RetryPolicy | None = None):
-        super().__init__(n_jobs, policy)
-        self._registry: SharedPlaneRegistry | None = None
-        self._payload: dict | None = None
-        self._prefix_info: dict | None = None
-
-    def _payload_for_mode(self, mode: str, evaluator: CampaignEvaluator
-                          ) -> tuple[dict, Callable, Callable[[bool], None]]:
-        if mode != "shared_memory":
-            return super()._payload_for_mode(mode, evaluator)
-        payload, cleanup = self._make_payload(evaluator)
-        return payload, _init_worker_shm, cleanup
-
-    def release_planes(self) -> None:
-        """Unlink every published plane now (idempotent).  Called on
-        failed runs, by :meth:`FaultCampaign.close`, and by the registry
-        finalizer as a last resort."""
-        if self._registry is not None:
-            self._registry.release()
-        self._registry = None
-        self._payload = None
-        self._prefix_info = None
-
-    def _publish_prefix(self, evaluator: CampaignEvaluator,
-                        registry: SharedPlaneRegistry) -> dict:
-        """Publish the evaluator's fault-free prefix activation batches
-        (computing them once, in the parent) plus the first suffix
-        layer's derived input representations when that layer memoizes
-        one (see :mod:`repro.binary.layers`).
-
-        At ``split == 0`` (a fully mapped model: no fault-free prefix)
-        the activation batches are byte-for-byte slices of ``x_test``,
-        which workers already attach — ``batches`` is ``None`` then and
-        workers slice the test-set plane instead of attaching redundant
-        copies.
-        """
-        split = evaluator._baseline_split()
-        with evaluator._evaluation_scope():
-            batches = evaluator._batches_for(split)
-            descriptors = None
-            if split > 0:
-                descriptors = [registry.publish(z, label=f"prefix{index}")
-                               for index, (z, _) in enumerate(batches)]
-            reps: list[dict] | None = None
-            layers = evaluator.model.layers
-            if split < len(layers) and hasattr(layers[split],
-                                               "_input_cache"):
-                layer = layers[split]
-                reps = []
-                for z, _ in batches:
-                    # one forward memoizes exactly the representation the
-                    # workers will look up — shared code path, no drift
-                    layer.forward(z, training=False)
-                    rep = layer._input_cache.peek("cols", z)
-                    if rep is not None:
-                        reps.append(_publish_rep(registry, "cols", rep))
-                    else:
-                        # this layer memoizes nothing: drop the partially
-                        # published set — nobody will ever attach it
-                        for published in reps:
-                            registry.discard(published["array"])
-                        reps = None
-                        break
-        return {"split": split, "n_batches": len(batches),
-                "batches": descriptors, "reps": reps}
-
-    def _make_payload(self, evaluator: CampaignEvaluator
-                      ) -> tuple[dict, Callable[[bool], None]]:
-        def cleanup(success: bool) -> None:
-            if not success:
-                self.release_planes()
-
-        fingerprint = evaluator.plane_fingerprint()
-        if (self._registry is not None and self._payload is not None
-                and self._registry.fingerprint == fingerprint):
-            # campaign-aware caching: same data/weights/geometry — the
-            # planes published for the previous run are still exact
-            self.prefix_plane = dict(self._prefix_info, reused=True)
-            return self._payload, cleanup
-        self.release_planes()
-        registry = SharedPlaneRegistry(fingerprint=fingerprint)
-        registry.on_warning = self.on_warning
-        try:
-            x_desc = registry.publish(evaluator.x_test, label="x_test")
-            y_desc = registry.publish(evaluator.y_test, label="y_test")
-            prefix = self._publish_prefix(evaluator, registry)
-            payload = {
-                "model": evaluator.model,
-                "planes_fingerprint": fingerprint,
-                "x_shm": x_desc,
-                "y_shm": y_desc,
-                "prefix": prefix,
-                "batch_size": evaluator.batch_size,
-                "continue_time":
-                    evaluator.injector.continue_time_across_layers,
-            }
-        except Exception:
-            registry.release()
-            raise
-        self._registry = registry
-        self._payload = payload
-        self._prefix_info = {
-            "split": prefix["split"],
-            "batches": prefix["n_batches"],
-            "rep_planes": len(prefix["reps"] or []),
-            "bytes": registry.nbytes,
-        }
-        self.prefix_plane = dict(self._prefix_info, reused=False)
-        return payload, cleanup
-
-
-def _publish_rep(registry: SharedPlaneRegistry, tag: str, rep) -> dict:
-    """Decompose one memoized ``(array, (oh, ow))`` input representation
-    into a plane descriptor."""
-    array, extra = rep
-    return {"tag": tag, "array": registry.publish(array, label=f"rep-{tag}"),
-            "extra": extra}
-
-
-def _strip_transient_state(model: Sequential) -> None:
-    """Drop per-layer scratch state (training caches, memoized input
-    representations) before pickling a model into worker processes."""
-    for layer in model.all_layers():
-        # swap in a fresh input cache: the old one, which
-        # _transient_state_stashed restores, stays untouched
-        if hasattr(layer, "_input_cache"):
-            layer._input_cache = type(layer._input_cache)()
-        if hasattr(layer, "_cache"):
-            layer._cache = None
-
-
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "multiprocessing": MultiprocessingExecutor,
     "shared_memory": SharedMemoryExecutor,
 }
 
 
 def get_executor(executor, n_jobs: int | None = None,
                  policy: RetryPolicy | None = None):
-    """Resolve an executor by name ('serial' / 'multiprocessing' /
-    'shared_memory') or pass executor objects through.  ``policy``
-    (a :class:`~repro.core.resilience.RetryPolicy`) arms retries,
-    per-job timeouts, and the degradation ladder; ``None`` keeps the
-    legacy raise-on-first-failure behavior."""
+    """Resolve an executor by name ('serial' / 'shared_memory') or pass
+    executor objects through.  ``policy`` (a
+    :class:`~repro.core.resilience.RetryPolicy`) arms retries, per-job
+    timeouts, and the degradation ladder; ``None`` keeps the legacy
+    raise-on-first-failure behavior."""
     if not isinstance(executor, str):
         return executor
     cls = _EXECUTORS.get(executor)
     if cls is None:
-        raise ValueError(f"unknown executor {executor!r}; use 'serial', "
-                         "'multiprocessing' or 'shared_memory'")
+        raise ValueError(f"unknown executor {executor!r}; use one of "
+                         f"{list(_EXECUTORS)}")
     if cls is SerialExecutor:
         return cls(policy=policy)
     return cls(n_jobs, policy=policy)

@@ -34,7 +34,7 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
 
     The campaign engine options (``executor``/``n_jobs``/``cache_bytes``)
     pass straight through, so the nine-architecture grids can run on the
-    pool executors — all bit-identical to serial.  ``progress(series,
+    worker pool — bit-identical to serial.  ``progress(series,
     done, total, cell)`` and ``journal_for(series) -> path`` stream/journal one model
     curve at a time (each model is its own campaign grid).
     """

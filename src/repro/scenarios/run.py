@@ -4,8 +4,8 @@
 spec file) + model + test set → a :class:`ScenarioResult` holding the
 per-checkpoint, per-episode accuracy trajectory.  Under the hood it is a
 plain :meth:`repro.core.FaultCampaign.run` over the compiled grid, so
-every engine feature — pool executors, JSONL journals with resume,
-shared-memory activation planes — applies unchanged, and results are
+every engine feature — the worker pool, JSONL journals with resume,
+cached prefix activations — applies unchanged, and results are
 bit-identical across executors under a fixed seed.
 """
 

@@ -222,10 +222,11 @@ def canonical_result(payload: dict) -> dict:
         engine.pop(key, None)
     payload["engine"] = engine
     meta = dict(payload.get("meta", {}))
-    # events/resilience/input_cache/prefix_plane/telemetry record *how*
-    # the cells were scheduled, cached, and timed, which legitimately
-    # differs between a resumed run (fewer fresh evaluations) and a
-    # direct one
+    # events/resilience/input_cache/telemetry record *how* the cells
+    # were scheduled, cached, and timed, which legitimately differs
+    # between a resumed run (fewer fresh evaluations) and a direct one;
+    # prefix_plane is the same kind of record in reports written while
+    # the pool published shared-memory planes
     for key in ("journal", "resumed_cells", "events", "resilience",
                 "input_cache", "prefix_plane", "telemetry"):
         meta.pop(key, None)
@@ -269,6 +270,10 @@ def decode_job(payload: Any):
     # records written while a second (bit-identical) inference backend
     # existed carry a ``backend`` field; the job resumes exactly without it
     stored.pop("backend", None)
+    # the retired ``multiprocessing`` pool computed the same bits as the
+    # ``shared_memory`` pool that replaced it
+    if stored.get("executor") == "multiprocessing":
+        stored["executor"] = "shared_memory"
     request, durable = decode_request(stored)
     if durable != payload["durable"]:
         raise WireError("job record durable flag disagrees with its "

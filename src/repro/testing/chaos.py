@@ -3,16 +3,15 @@
 The fault injector injects faults into *models*; this module injects
 faults into the *engine running the campaign* — the same inversion
 SpikeFI applies at the framework level.  A :class:`ChaosSpec` names the
-failures; the chaos executors (:class:`ChaosMultiprocessingExecutor`,
-:class:`ChaosSharedMemoryExecutor`) are the real pool executors with
-their worker entry points wrapped so those failures happen at precise
+failures; :class:`ChaosSharedMemoryExecutor` is the real pool executor
+with its worker entry points wrapped so those failures happen at precise
 grid cells:
 
 * SIGKILL the worker holding cell *k* (a lost worker mid-grid);
 * raise once in a worker (a transient evaluation failure → retry);
 * raise *every* time a cell is attempted (a poison job → quarantine);
-* raise in the pool initializer of a given rung (broken worker
-  start-up → the degradation ladder);
+* raise in the pool initializer (broken worker start-up → the
+  degradation ladder);
 * sleep through a cell's wall-clock budget (a stuck worker → timeout).
 
 One-shot failures coordinate across respawned workers through claim
@@ -21,9 +20,9 @@ one attempt dies no matter which worker draws the cell or how often the
 pool is rebuilt.  Poison cells carry no token: they fail on every
 attempt, which is what makes them poison.
 
-Everything here rides the executors' public extension seams
-(``_payload_for_mode`` / ``_pool_functions``); dispatch, supervision,
-and recovery logic run completely unmodified — that is the point.
+Everything here rides the executor's extension seams
+(``_initializer`` / ``_pool_functions``); dispatch, supervision, and
+recovery logic run completely unmodified — that is the point.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core import engine as _engine
-from ..core.engine import MultiprocessingExecutor, SharedMemoryExecutor
+from ..core.engine import SharedMemoryExecutor
 
-__all__ = ["ChaosSpec", "ChaosError", "ChaosMultiprocessingExecutor",
-           "ChaosSharedMemoryExecutor", "truncate_last_line"]
+__all__ = ["ChaosSpec", "ChaosError", "ChaosSharedMemoryExecutor",
+           "truncate_last_line"]
 
 
 class ChaosError(RuntimeError):
@@ -83,14 +82,13 @@ class ChaosSpec:
 _CHAOS: ChaosSpec | None = None
 
 
-def _chaos_init(payload: dict) -> None:
+def _chaos_init(spec: ChaosSpec, mode: str, initializer, initargs) -> None:
     """Pool initializer: arm the spec, then run the rung's real one."""
     global _CHAOS
-    _CHAOS = payload["chaos"]
-    if payload["mode"] in _CHAOS.fail_init_modes:
-        raise ChaosError(f"injected initializer failure "
-                         f"({payload['mode']} rung)")
-    payload["init_fn"](payload["inner"])
+    _CHAOS = spec
+    if mode in spec.fail_init_modes:
+        raise ChaosError(f"injected initializer failure ({mode} rung)")
+    initializer(*initargs)
 
 
 def _chaos_before(point: int, repeat: int) -> None:
@@ -118,30 +116,19 @@ def _chaos_run_shard(task):
     return _engine._run_worker_shard(task)
 
 
-class _ChaosMixin:
-    """Wrap an executor's worker entry points with failure injection."""
+class ChaosSharedMemoryExecutor(SharedMemoryExecutor):
+    """:class:`SharedMemoryExecutor` with injected failures."""
 
     def __init__(self, *args, chaos: ChaosSpec, **kwargs):
         super().__init__(*args, **kwargs)
         self.chaos = chaos
 
-    def _payload_for_mode(self, mode, evaluator):
-        payload, initializer, cleanup = super()._payload_for_mode(
-            mode, evaluator)
-        wrapped = {"chaos": self.chaos, "mode": mode,
-                   "init_fn": initializer, "inner": payload}
-        return wrapped, _chaos_init, cleanup
+    def _initializer(self, mode, evaluator):
+        initializer, initargs = super()._initializer(mode, evaluator)
+        return _chaos_init, (self.chaos, mode, initializer, initargs)
 
     def _pool_functions(self, mode):
         return _chaos_run_job, _chaos_run_shard
-
-
-class ChaosMultiprocessingExecutor(_ChaosMixin, MultiprocessingExecutor):
-    """:class:`MultiprocessingExecutor` with injected failures."""
-
-
-class ChaosSharedMemoryExecutor(_ChaosMixin, SharedMemoryExecutor):
-    """:class:`SharedMemoryExecutor` with injected failures."""
 
 
 def truncate_last_line(path) -> None:

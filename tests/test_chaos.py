@@ -17,8 +17,7 @@ from repro import nn
 from repro.binary import QuantDense
 from repro.core import (FaultCampaign, FaultSpec, RetryPolicy,
                         SupervisorGaveUp)
-from repro.testing import (ChaosMultiprocessingExecutor,
-                           ChaosSharedMemoryExecutor, ChaosSpec)
+from repro.testing import ChaosSharedMemoryExecutor, ChaosSpec
 
 
 @pytest.fixture(scope="module")
@@ -65,23 +64,13 @@ def _campaign(trained_setup, executor):
                          executor=executor)
 
 
-def _attachable(name: str) -> bool:
-    from multiprocessing import shared_memory
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
-
-
 # -- acceptance: SIGKILL mid-grid, no manual resume ------------------------
 
 def test_sigkill_mid_grid_completes_bit_identical(trained_setup, reference,
                                                   tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(1, 0))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
@@ -90,29 +79,14 @@ def test_sigkill_mid_grid_completes_bit_identical(trained_setup, reference,
     assert result.meta["resilience"]["quarantined"] == []
 
 
-def test_sigkill_under_shared_memory_releases_planes(trained_setup,
-                                                     reference, tmp_path):
-    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(2, 1))
-    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
-                                         chaos=chaos)
-    campaign = _campaign(trained_setup, executor)
-    result = campaign.run(FaultSpec.bitflip, **KWARGS)
-    np.testing.assert_array_equal(result.accuracies, reference.accuracies)
-    assert executor.resilience["workers_lost"] >= 1
-    names = [shm.name for shm in executor._registry._owned]
-    assert names and all(_attachable(name) for name in names)
-    campaign.close()
-    assert not any(_attachable(name) for name in names)
-
-
 def test_sigkill_without_policy_raises_instead_of_hanging(trained_setup,
                                                           tmp_path):
     """Legacy ``policy=None``: the first failure raises, and a lost
     worker is a failure — the run must not wait for a result the dead
     worker will never send."""
     chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(1, 0))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=None,
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=None,
+                                         chaos=chaos)
     with pytest.raises(BrokenProcessPool):
         _campaign(trained_setup, executor).run(FaultSpec.bitflip, **KWARGS)
 
@@ -122,8 +96,8 @@ def test_sigkill_without_policy_raises_instead_of_hanging(trained_setup,
 def test_poison_job_quarantined_with_typed_events(trained_setup, reference,
                                                   tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), poison_job=(2, 0))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     events = []
     executor.on_event = events.append
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
@@ -141,8 +115,8 @@ def test_poison_job_quarantined_with_typed_events(trained_setup, reference,
 def test_transient_failure_retried_without_quarantine(trained_setup,
                                                       reference, tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), fail_job=(1, 1))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
@@ -156,7 +130,7 @@ def test_stuck_job_times_out_and_retries(trained_setup, reference,
                                          tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), slow_job=(0, 1),
                       slow_seconds=30.0)
-    executor = ChaosMultiprocessingExecutor(
+    executor = ChaosSharedMemoryExecutor(
         n_jobs=2, policy=_policy(job_timeout=1.0, stall_timeout=5.0),
         chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
@@ -168,8 +142,8 @@ def test_stuck_job_times_out_and_retries(trained_setup, reference,
 
 # -- the degradation ladder -----------------------------------------------
 
-def test_broken_shm_initializer_degrades_to_multiprocessing(
-        trained_setup, reference, tmp_path):
+def test_broken_shm_initializer_degrades_to_serial(trained_setup,
+                                                   reference, tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path),
                       fail_init_modes=("shared_memory",))
     executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
@@ -177,37 +151,7 @@ def test_broken_shm_initializer_degrades_to_multiprocessing(
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
-    assert result.meta["resilience"]["degraded"] == \
-        ["shared_memory->multiprocessing"]
-    assert executor._registry is None  # the failed rung's planes released
-
-
-def test_unlinked_plane_mid_run_degrades_and_completes(trained_setup,
-                                                       reference, tmp_path):
-    """Someone unlinks a shared plane mid-run; the killed worker's
-    respawn can't re-attach, the rung gives up, the run still
-    converges.  The kill targets the last cell: it is dispatched only
-    after this test resumes the stream, i.e. strictly post-unlink."""
-    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(2, 1))
-    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
-                                         chaos=chaos)
-    campaign = _campaign(trained_setup, executor)
-    evaluator = campaign._evaluator
-    from repro.core import build_jobs
-    jobs = build_jobs(campaign.model, FaultSpec.bitflip, KWARGS["xs"],
-                      KWARGS["repeats"], KWARGS["seed"], 8, 4)
-    stream = executor.run_iter(jobs, evaluator)
-    results = [next(stream)]
-    # rip a plane out from under the campaign (not via the registry)
-    executor._registry._owned[0].unlink()
-    results.extend(stream)
-    assert len(results) == len(jobs)
-    by_coord = {(i, j): a for i, j, a in results}
-    for i in range(3):
-        for j in range(2):
-            assert by_coord[(i, j)] == reference.accuracies[i, j]
-    assert any(d.startswith("shared_memory->")
-               for d in executor.resilience["degraded"])
+    assert result.meta["resilience"]["degraded"] == ["shared_memory->serial"]
 
 
 def test_no_degrade_raises_supervisor_gave_up(trained_setup, tmp_path):
@@ -224,16 +168,8 @@ def test_no_degrade_raises_supervisor_gave_up(trained_setup, tmp_path):
     before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else None
     with pytest.raises(SupervisorGaveUp):
         campaign.run(FaultSpec.bitflip, **KWARGS)
-    assert executor._registry is None  # no leak on the failure path
-    if before is not None:
+    if before is not None:  # no leak on the failure path
         assert set(os.listdir(shm_dir)) - before == set()
-    # nothing stale survives the crash: the next run republishes planes
-    # from scratch rather than reusing the dead run's fingerprint
-    payload, cleanup = executor._make_payload(campaign._evaluator)
-    try:
-        assert executor.prefix_plane["reused"] is False
-    finally:
-        cleanup(False)
 
 
 # -- journaled chaos runs -------------------------------------------------
@@ -247,8 +183,8 @@ def test_journaled_chaos_run_records_events_and_resumes(trained_setup,
     chaos = ChaosSpec(scratch=str(tmp_path / "scratch"), kill_job=(0, 0))
     (tmp_path / "scratch").mkdir()
     journal = tmp_path / "sweep.jsonl"
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     model, x, y = trained_setup
     campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
                              executor=executor)

@@ -103,7 +103,7 @@ def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "baseline:" in out
-    assert "[multiprocessing]" in out
+    assert "[shared_memory]" in out
     assert "0 cells resumed" in out
 
     # reusing a journal requires --resume ...
@@ -130,6 +130,13 @@ def test_sweep_shared_memory_executor_smoke(capsys, tmp_path):
                         "--jobs", "2", "--executor", "shared_memory")
     assert code == 0
     assert "[shared_memory]" in out
+
+
+def test_retired_executor_refused_with_the_valid_names(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "sweep", "--executor", "multiprocessing"])
+    assert exit_info.value.code == 2
+    assert "'serial', 'shared_memory'" in capsys.readouterr().err
 
 
 def test_scenarios_list(capsys):

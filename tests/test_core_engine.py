@@ -6,9 +6,10 @@ import pytest
 from repro import nn
 from repro.binary import QuantConv2D, QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultGenerator,
-                        FaultInjector, FaultSpec, MultiprocessingExecutor,
-                        SerialExecutor, SharedMemoryExecutor, build_jobs,
-                        get_executor, plan_has_faults)
+                        FaultInjector, FaultSpec, SerialExecutor,
+                        SharedMemoryExecutor, build_jobs, get_executor,
+                        plan_has_faults)
+from repro.core import workerpool
 
 
 @pytest.fixture(scope="module")
@@ -93,21 +94,8 @@ def test_engine_matches_legacy_triple_loop(trained_setup):
     np.testing.assert_array_equal(result.accuracies, legacy)
 
 
-def test_serial_and_multiprocessing_bit_identical(trained_setup):
-    model, x, y = trained_setup
-    kwargs = dict(xs=[0.0, 0.2, 0.4], repeats=3, seed=11)
-    serial = FaultCampaign(model, x, y, rows=8, cols=4,
-                           executor="serial").run(FaultSpec.bitflip, **kwargs)
-    parallel = FaultCampaign(model, x, y, rows=8, cols=4,
-                             executor="multiprocessing",
-                             n_jobs=2).run(FaultSpec.bitflip, **kwargs)
-    np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
-    assert serial.baseline == parallel.baseline
-    assert parallel.meta["executor"] == "multiprocessing"
-
-
 def test_shared_memory_bit_identical_to_serial(trained_setup):
-    """The zero-copy shm executor must match serial."""
+    """The pool executor must match serial."""
     model, x, y = trained_setup
     kwargs = dict(xs=[0.0, 0.2, 0.4], repeats=3, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4,
@@ -120,22 +108,6 @@ def test_shared_memory_bit_identical_to_serial(trained_setup):
     assert result.meta["executor"] == "shared_memory"
 
 
-def test_shared_memory_payload_smaller_than_pickled(trained_setup):
-    """The shm payload must not scale with the test set: it ships block
-    descriptors, not arrays."""
-    model, x, y = trained_setup
-    kwargs = dict(xs=[0.0, 0.3], repeats=2, seed=1)
-    sizes = {}
-    for executor in ("multiprocessing", "shared_memory"):
-        campaign = FaultCampaign(model, x, y, rows=8, cols=4,
-                                 executor=executor, n_jobs=2)
-        campaign.run(FaultSpec.bitflip, **kwargs)
-        sizes[executor] = campaign._executor.payload_bytes
-    assert sizes["shared_memory"] < sizes["multiprocessing"]
-    # the gap is at least the test-set arrays themselves
-    assert sizes["multiprocessing"] - sizes["shared_memory"] > x.nbytes // 2
-
-
 def test_batch_level_split_when_grid_underfills_pool(trained_setup):
     """A single-job grid on a 2-worker pool must shard test batches and
     reduce integer counts to the exact unsharded accuracy."""
@@ -143,14 +115,15 @@ def test_batch_level_split_when_grid_underfills_pool(trained_setup):
     kwargs = dict(xs=[0.35], repeats=1, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4,
                            batch_size=16).run(FaultSpec.bitflip, **kwargs)
-    for executor in ("multiprocessing", "shared_memory"):
-        campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=16,
-                                 executor=executor, n_jobs=2)
-        assert campaign._executor._shard_count(1, 7) == 2
-        result = campaign.run(FaultSpec.bitflip, **kwargs)
-        np.testing.assert_array_equal(serial.accuracies, result.accuracies)
-        # the sharded path really ran through the pool, not the fallback
-        assert campaign._executor.payload_bytes > 0
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=16,
+                             executor="shared_memory", n_jobs=2)
+    assert campaign._executor._shard_count(1, 7) == 2
+    fallbacks = []
+    campaign._executor.on_warning = fallbacks.append
+    result = campaign.run(FaultSpec.bitflip, **kwargs)
+    np.testing.assert_array_equal(serial.accuracies, result.accuracies)
+    # the sharded path really ran through the pool, not the fallback
+    assert fallbacks == []
 
 
 def test_shard_counts_sum_to_full_evaluation(trained_setup):
@@ -169,7 +142,7 @@ def test_shard_counts_sum_to_full_evaluation(trained_setup):
 
 
 def test_shard_count_policy():
-    executor = MultiprocessingExecutor(n_jobs=4)
+    executor = SharedMemoryExecutor(n_jobs=4)
     assert executor._shard_count(0, 10) == 1   # nothing to run
     assert executor._shard_count(8, 10) == 1   # grid already fills the pool
     assert executor._shard_count(1, 1) == 1    # a single batch cannot split
@@ -178,7 +151,7 @@ def test_shard_count_policy():
     assert executor._shard_count(1, 3) == 3    # capped by batch count
 
 
-def test_multiprocessing_preserves_caller_caches(conv_setup):
+def test_pool_preserves_caller_caches(conv_setup):
     """Spinning up a pool must not discard the caller's warm layer caches
     (mixed serial/parallel use would otherwise thrash them)."""
     model, x, y = conv_setup
@@ -190,7 +163,7 @@ def test_multiprocessing_preserves_caller_caches(conv_setup):
     warm = conv._input_cache.entries()
     assert sum(entry[1] == "cols" for entry in warm) == 3, \
         "test premise: one warm im2col entry per batch"
-    MultiprocessingExecutor(n_jobs=2).run(jobs, evaluator)
+    SharedMemoryExecutor(n_jobs=2).run(jobs, evaluator)
     assert conv._input_cache.entries() == warm
 
 
@@ -203,21 +176,51 @@ def _worker_cache_entries(job):
     return job.point_index, job.repeat_index, float(entries)
 
 
-class _CacheProbeExecutor(MultiprocessingExecutor):
+class _CacheProbeExecutor(SharedMemoryExecutor):
     def _pool_functions(self, mode):
         return _worker_cache_entries, _worker_cache_entries
 
 
-def test_pool_workers_do_not_inherit_caller_caches(conv_setup):
-    """Workers fork while the caller's warm caches are stashed away, not
-    at the first job dispatch after they are restored."""
+def test_pool_workers_inherit_warm_caches(conv_setup):
+    """The parent warms a cold evaluator before the workers fork, so each
+    worker starts with the split layer's im2col entries, one per batch."""
     model, x, y = conv_setup
-    evaluator = CampaignEvaluator(model, x, y)
-    evaluator.baseline()  # warm the caller's layer input caches
-    assert model.layers[0]._input_cache.entries()
+    evaluator = CampaignEvaluator(model, x, y, batch_size=20)
+    evaluator.clear_caches()  # drop what earlier tests left on the model
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
     results = _CacheProbeExecutor(n_jobs=2).run(jobs, evaluator)
-    assert [entries for _, _, entries in results] == [0.0, 0.0]
+    warm = model.layers[0]._input_cache.entries()
+    assert sum(entry[1] == "cols" for entry in warm) == 3
+    assert [entries for _, _, entries in results] == [float(len(warm))] * 2
+
+
+def _worker_blas_threads(job):
+    """Pool probe in place of an evaluation: the worker's BLAS threads."""
+    return job.point_index, job.repeat_index, float(
+        workerpool.blas_threads())
+
+
+class _BlasProbeExecutor(SharedMemoryExecutor):
+    def _pool_functions(self, mode):
+        return _worker_blas_threads, _worker_blas_threads
+
+
+def test_pool_workers_pin_blas_to_one_thread(trained_setup):
+    parent = workerpool.blas_threads()
+    if parent is None:
+        pytest.skip("numpy's BLAS exposes no thread-count symbol")
+    model, x, y = trained_setup
+    evaluator = CampaignEvaluator(model, x, y)
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 4, 0, 8, 4)
+    results = _BlasProbeExecutor(n_jobs=2).run(jobs, evaluator)
+    assert [threads for _, _, threads in results] == [1.0] * 4
+    assert workerpool.blas_threads() == parent  # the parent is never pinned
+
+
+def test_blas_pinning_is_a_no_op_without_a_blas(monkeypatch):
+    monkeypatch.setattr(workerpool, "_blas_functions", lambda: None)
+    workerpool.set_blas_threads(1)
+    assert workerpool.blas_threads() is None
 
 
 def test_evaluator_snapshot_immune_to_caller_mutation(trained_setup):
@@ -239,10 +242,9 @@ def test_evaluator_snapshot_immune_to_caller_mutation(trained_setup):
 
 def test_repro_n_jobs_env_default(monkeypatch):
     monkeypatch.setenv("REPRO_N_JOBS", "2")
-    assert MultiprocessingExecutor().n_jobs == 2
     assert SharedMemoryExecutor().n_jobs == 2
     monkeypatch.delenv("REPRO_N_JOBS")
-    assert MultiprocessingExecutor(3).n_jobs == 3
+    assert SharedMemoryExecutor(3).n_jobs == 3
 
 
 def test_executors_stream_results(trained_setup):
@@ -313,13 +315,14 @@ def test_evaluator_prefix_cache_is_read_only(trained_setup):
 
 def test_get_executor_resolution():
     assert isinstance(get_executor("serial"), SerialExecutor)
-    executor = get_executor("multiprocessing", n_jobs=3)
-    assert isinstance(executor, MultiprocessingExecutor)
+    executor = get_executor("shared_memory", n_jobs=3)
+    assert isinstance(executor, SharedMemoryExecutor)
     assert executor.n_jobs == 3
     passthrough = SerialExecutor()
     assert get_executor(passthrough) is passthrough
-    with pytest.raises(ValueError):
-        get_executor("threads")
+    for retired in ("threads", "multiprocessing"):
+        with pytest.raises(ValueError, match="shared_memory"):
+            get_executor(retired)
 
 
 def test_campaign_leaves_model_unfaulted(trained_setup):

@@ -1,13 +1,18 @@
-"""Shared-memory activation planes: registry lifecycle, worker adoption,
-fingerprint checks, and leak-freedom on crashes/interrupts."""
+"""The pool's shared state: workers fork from a warm parent evaluator,
+never recompute the fault-free prefix, publish nothing to ``/dev/shm``,
+and leave no worker behind when a run fails or is abandoned."""
+
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.binary import QuantConv2D, QuantDense
+from repro.binary import QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultSpec,
-                        SharedMemoryExecutor, SharedPlaneRegistry, build_jobs)
+                        SharedMemoryExecutor, build_jobs)
 from repro.core import engine as engine_mod
 
 
@@ -30,193 +35,125 @@ def trained_setup():
     return model, x[300:], y[300:]
 
 
-def _attachable(name: str) -> bool:
-    """Whether a shared-memory block with this name still exists."""
-    from multiprocessing import shared_memory
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
+def _recording(monkeypatch, name: str, log):
+    """Patch ``CampaignEvaluator.<name>`` to append the calling pid to
+    ``log``; workers fork after the patch, so they inherit it."""
+    original = getattr(CampaignEvaluator, name)
+
+    def recorded(self, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(CampaignEvaluator, name, recorded)
 
 
-# -- SharedPlaneRegistry unit behavior ------------------------------------
-
-def test_registry_publish_attach_roundtrip():
-    registry = SharedPlaneRegistry(fingerprint="fp")
-    array = np.arange(12, dtype=np.float32).reshape(3, 4)
-    descriptor = registry.publish(array, label="demo")
-    attacher = SharedPlaneRegistry(fingerprint="fp")
-    attached = attacher.attach(descriptor)
-    assert np.array_equal(attached, array)
-    assert not attached.flags.writeable
-    attacher.release()
-    registry.release()
+def _pids(log) -> set[int]:
+    return {int(line) for line in log.read_text().split()} \
+        if log.exists() else set()
 
 
-def test_registry_attach_refuses_stale_fingerprint():
-    registry = SharedPlaneRegistry(fingerprint="old-campaign")
-    descriptor = registry.publish(np.zeros(4), label="stale")
-    attacher = SharedPlaneRegistry(fingerprint="new-campaign")
-    with pytest.raises(ValueError, match="stale shared-memory plane"):
-        attacher.attach(descriptor)
-    registry.release()
-
-
-def test_registry_release_unlinks_and_is_idempotent():
-    registry = SharedPlaneRegistry(fingerprint="fp")
-    descriptor = registry.publish(np.ones(8))
-    assert _attachable(descriptor["name"])
-    registry.release()
-    assert not _attachable(descriptor["name"])
-    registry.release()  # second release is a no-op, not an error
-
-
-def test_registry_finalizer_unlinks_on_gc():
-    registry = SharedPlaneRegistry(fingerprint="fp")
-    descriptor = registry.publish(np.ones(8))
-    name = descriptor["name"]
-    del registry  # CPython refcounting fires the finalizer immediately
-    assert not _attachable(name)
-
-
-# -- worker adoption of published planes ----------------------------------
-
-@pytest.fixture
-def worker_globals():
-    """Snapshot/restore the worker-side module globals the initializer
-    mutates, releasing any shared-memory attachments made in between."""
-    saved_eval = engine_mod._WORKER_EVALUATOR
-    saved_shm = list(engine_mod._WORKER_SHM)
-    yield
-    for registry in engine_mod._WORKER_SHM:
-        if registry not in saved_shm:
-            registry.release()
-    engine_mod._WORKER_SHM[:] = saved_shm
-    engine_mod._WORKER_EVALUATOR = saved_eval
-
-
-def test_worker_init_adopts_prefix_planes(trained_setup, worker_globals):
-    """A worker built from the payload evaluates jobs without ever
-    recomputing the fault-free prefix from the test set."""
+@pytest.mark.parametrize("xs, repeats", [([0.0, 0.3, 0.45], 2),  # per job
+                                         ([0.3], 1)],            # sharded
+                         ids=["jobs", "shards"])
+def test_pool_workers_never_recompute_the_prefix(trained_setup, tmp_path,
+                                                 monkeypatch, xs, repeats):
     model, x, y = trained_setup
-    evaluator = CampaignEvaluator(model, x, y, batch_size=25)
-    executor = SharedMemoryExecutor(n_jobs=2)
-    payload, cleanup = executor._make_payload(evaluator)
-    try:
-        engine_mod._init_worker_shm(payload)
-        worker = engine_mod._WORKER_EVALUATOR
-        split = evaluator._baseline_split()
-        assert (split, 0, 1) in worker._suffix_batches
-        assert len(worker._suffix_batches[(split, 0, 1)]) == 12
-        jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
-        for job in jobs:
-            worker.run_job(job)
-        worker.baseline()
-        assert worker.prefix_computations == 0
-        # worker results match the parent evaluator bit-for-bit
-        assert worker.run_job(jobs[0]) == evaluator.run_job(jobs[0])
-    finally:
-        cleanup(False)
+    kwargs = dict(xs=xs, repeats=repeats, seed=3)
+    serial = FaultCampaign(model, x, y, rows=8, cols=4,
+                           batch_size=25).run(FaultSpec.bitflip, **kwargs)
+    prefix_log, suffix_log = tmp_path / "prefix", tmp_path / "suffix"
+    _recording(monkeypatch, "_compute_batches", prefix_log)
+    _recording(monkeypatch, "_suffix_counts", suffix_log)
+    with FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
+                       executor="shared_memory", n_jobs=2) as campaign:
+        result = campaign.run(FaultSpec.bitflip, **kwargs)
+    np.testing.assert_array_equal(result.accuracies, serial.accuracies)
+    # the cells ran in workers, and only the parent computed a prefix
+    assert _pids(suffix_log) - {os.getpid()}
+    assert _pids(prefix_log) == {os.getpid()}
 
 
-def test_worker_init_refuses_stale_planes(trained_setup, worker_globals):
+def _psm_blocks() -> set[str]:
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_pool_run_creates_no_shm_blocks(trained_setup):
+    """Workers inherit the parent's memory by fork: a pool run creates no
+    ``multiprocessing.shared_memory`` block, mid-run or after."""
     model, x, y = trained_setup
+    before = _psm_blocks()
     evaluator = CampaignEvaluator(model, x, y, batch_size=25)
-    executor = SharedMemoryExecutor(n_jobs=2)
-    payload, cleanup = executor._make_payload(evaluator)
-    try:
-        tampered = dict(payload, planes_fingerprint="someone-elses-campaign")
-        with pytest.raises(ValueError, match="stale shared-memory plane"):
-            engine_mod._init_worker_shm(tampered)
-    finally:
-        cleanup(False)
-
-
-def test_cols_rep_planes_published(worker_globals):
-    """A conv split layer's im2col (``"cols"``) planes are published and
-    the worker's first lookup is already a hit."""
-    rng = np.random.default_rng(0)
-    x = rng.choice([-1.0, 1.0], size=(300, 6, 6, 2)).astype(np.float32)
-    y = rng.integers(0, 2, size=300)
-    model = nn.Sequential([
-        QuantConv2D(4, 3, input_quantizer="ste_sign",
-                    kernel_quantizer="ste_sign"),
-        nn.Flatten(),
-        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
-    ]).build((6, 6, 2), seed=0)
-    evaluator = CampaignEvaluator(model, x, y, batch_size=25)
-    executor = SharedMemoryExecutor(n_jobs=2)
-    payload, cleanup = executor._make_payload(evaluator)
-    try:
-        reps = payload["prefix"]["reps"]
-        assert reps is not None and len(reps) == 12
-        assert {rep["tag"] for rep in reps} == {"cols"}
-        engine_mod._init_worker_shm(payload)
-        worker = engine_mod._WORKER_EVALUATOR
-        jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 1, 0, 8, 4)
-        worker.run_job(jobs[0])
-        stats = worker.input_cache_stats()
-        assert stats["hits"] > 0 and stats["misses"] == 0
-    finally:
-        cleanup(False)
-
-
-# -- executor lifecycle: caching, crashes, interrupts ---------------------
-
-def _plane_names(executor) -> list[str]:
-    return [shm.name for shm in executor._registry._owned]
-
-
-def test_planes_cached_across_runs_and_released_on_close(trained_setup):
-    model, x, y = trained_setup
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
-                             executor="shared_memory", n_jobs=2)
-    first = campaign.run(FaultSpec.bitflip, xs=[0.0, 0.3], repeats=2)
-    assert first.meta["prefix_plane"]["reused"] is False
-    assert first.meta["prefix_plane"]["batches"] == 12
-    names = _plane_names(campaign._executor)
-    assert names and all(_attachable(name) for name in names)
-    second = campaign.run(FaultSpec.bitflip, xs=[0.0, 0.3], repeats=2)
-    assert second.meta["prefix_plane"]["reused"] is True
-    assert _plane_names(campaign._executor) == names  # same blocks, no copy
-    assert np.array_equal(first.accuracies, second.accuracies)
-    campaign.close()
-    assert not any(_attachable(name) for name in names)
-    campaign.close()  # idempotent
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.3, 0.4], 3, 0, 8, 4)
+    stream = SharedMemoryExecutor(n_jobs=2).run_iter(jobs, evaluator)
+    results = [next(stream)]
+    assert _psm_blocks() - before == set()
+    results.extend(stream)
+    assert len(results) == len(jobs)
+    assert _psm_blocks() - before == set()
 
 
 def _crash(job):  # module-level: must pickle by reference into workers
     raise RuntimeError("worker died")
 
 
-def test_planes_released_when_worker_crashes(trained_setup, monkeypatch):
-    """A worker failure aborts the run AND unlinks every plane."""
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs (neither exited nor a zombie), asked of the
+    kernel: a ``Process`` object can still report a child alive after
+    the executor's own thread reaped it."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()
+            if _running(child.pid)}
+
+
+def _left_behind(before: set[int]) -> set[int]:
+    """Workers started since ``before`` still running ~10 s on.
+    ``kill_workers`` SIGKILLs every worker that reported its pid; one
+    still starting up is terminated by the executor as the pool breaks,
+    a moment later."""
+    for _ in range(200):
+        left = _worker_pids() - before
+        if not left:
+            break
+        time.sleep(0.05)
+    return left
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+def test_worker_error_aborts_pool_run(trained_setup, monkeypatch):
+    """Without a retry policy a failing job aborts the run, and the run
+    leaves no worker behind."""
     model, x, y = trained_setup
     monkeypatch.setattr(engine_mod, "_run_worker_job", _crash)
     evaluator = CampaignEvaluator(model, x, y, batch_size=25)
-    executor = SharedMemoryExecutor(n_jobs=2)
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3, 0.4], 2, 0, 8, 4)
+    before = _worker_pids()
     with pytest.raises(RuntimeError, match="worker died"):
-        executor.run(jobs, evaluator)
-    assert executor._registry is None
+        SharedMemoryExecutor(n_jobs=2).run(jobs, evaluator)
+    assert _left_behind(before) == set()
 
 
-def test_planes_released_on_keyboard_interrupt(trained_setup):
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+def test_abandoned_pool_run_leaves_no_workers(trained_setup):
     """Abandoning the streaming iterator mid-run (the KeyboardInterrupt /
-    generator-close path) must not leak psm_* blocks."""
+    generator-close path) kills the pool's workers."""
     model, x, y = trained_setup
     evaluator = CampaignEvaluator(model, x, y, batch_size=25)
-    executor = SharedMemoryExecutor(n_jobs=2)
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3, 0.4], 3, 0, 8, 4)
-    stream = executor.run_iter(jobs, evaluator)
+    before = _worker_pids()
+    stream = SharedMemoryExecutor(n_jobs=2).run_iter(jobs, evaluator)
     next(stream)
-    names = _plane_names(executor)
-    assert names
+    assert _worker_pids() - before
     stream.close()  # what an interrupt's stack unwind does to the generator
-    assert executor._registry is None
-    assert not any(_attachable(name) for name in names)
+    assert _left_behind(before) == set()
 
 
 # -- derived prefix batches -----------------------------------------------
@@ -232,7 +169,7 @@ def test_sharded_batches_are_views_of_the_full_split(trained_setup):
 def test_deeper_split_derived_from_cached_base_is_identical(trained_setup):
     model, x, y = trained_setup
     warm = CampaignEvaluator(model, x, y, batch_size=25)
-    warm._batches_for(0)  # e.g. adopted planes at the baseline split
+    warm._batches_for(0)  # e.g. the baseline split a worker inherits
     derived = warm._batches_for(3)
     cold = CampaignEvaluator(model, x, y, batch_size=25)
     scratch = cold._batches_for(3)

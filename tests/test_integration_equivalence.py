@@ -162,7 +162,7 @@ def test_stuck_gate_output_matches_product_stuck(rng):
     np.testing.assert_array_equal(flim_out, device_out)
 
 
-def test_serial_and_multiprocessing_sweeps_bit_identical(rng):
+def test_serial_and_pool_sweeps_bit_identical(rng):
     """Same seeds -> bit-identical SweepResult across executors (§IV)."""
     from repro.core import FaultCampaign
 
@@ -173,7 +173,7 @@ def test_serial_and_multiprocessing_sweeps_bit_identical(rng):
     serial = FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
                            executor="serial").run(FaultSpec.bitflip, **kwargs)
     parallel = FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
-                             executor="multiprocessing",
+                             executor="shared_memory",
                              n_jobs=2).run(FaultSpec.bitflip, **kwargs)
     np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
     assert serial.baseline == parallel.baseline

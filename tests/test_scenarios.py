@@ -305,7 +305,7 @@ def test_run_scenario_different_seeds_differ():
     assert not np.array_equal(a.accuracies, b.accuracies)
 
 
-@pytest.mark.parametrize("executor", ["multiprocessing", "shared_memory"])
+@pytest.mark.parametrize("executor", ["shared_memory"])
 def test_run_scenario_bit_identical_across_engine_combos(executor):
     """Same scenario + seed ⇒ bit-identical trajectories on every
     executor (the engine's §IV contract extends to compiled grids)."""

@@ -67,7 +67,7 @@ EXAMPLE_EVENTS = [
                error="TimeoutError"),
     JobQuarantined(point=1, repeat=2, attempts=3, error="boom"),
     WorkerLost(reason="SIGKILL", in_flight=2),
-    ExecutorDegraded(from_mode="shared_memory", to_mode="multiprocessing",
+    ExecutorDegraded(from_mode="shared_memory", to_mode="serial",
                      reason="init failed"),
     JobStateChanged(job_id="job-abc", state="running", error=""),
     RunFinished(report=EXAMPLE_REPORT),
@@ -124,8 +124,7 @@ if HAVE_HYPOTHESIS:
         RunRequest,
         experiment=names,
         params=param_dicts,
-        executor=st.sampled_from(["serial", "multiprocessing",
-                                  "shared_memory"]),
+        executor=st.sampled_from(["serial", "shared_memory"]),
         n_jobs=st.one_of(st.none(), st.integers(0, 64)),
         cache_bytes=st.one_of(st.none(), st.integers(0, 1 << 40)),
         quick=st.booleans(),
@@ -271,6 +270,33 @@ def test_stored_backend_field_dropped_on_recovery(tmp_path):
     assert to_requeue[0].resumes == records[1].resumes + 1
 
 
+def test_stored_multiprocessing_executor_recovers_as_shared_memory(
+        tmp_path):
+    """A job store whose records name the retired ``multiprocessing``
+    pool still recovers, on the bit-identical ``shared_memory`` pool."""
+    import dataclasses
+
+    from repro.service.store import JobStore
+    store = JobStore(tmp_path)
+    records = [make_record(state=JobState.DONE),
+               make_record(state=JobState.RUNNING, durable=True)]
+    for record, suffix in zip(records, ("done", "running")):
+        payload = wire.encode_job(record)
+        payload["request"]["executor"] = "multiprocessing"
+        store.record_path(record.job_id + suffix).write_text(
+            json.dumps(payload))
+    finished, to_requeue = store.recover()
+    want = [dataclasses.replace(record.request, executor="shared_memory")
+            for record in records]
+    assert [record.request for record in finished] == want[:1]
+    assert [record.request for record in to_requeue] == want[1:]
+    assert to_requeue[0].resumes == records[1].resumes + 1
+    # only the store path maps the name: a fresh submission is refused
+    with pytest.raises(ValueError, match="shared_memory"):
+        wire.decode_request({"experiment": "fig4a",
+                             "executor": "multiprocessing"})
+
+
 def test_request_values_validated_after_decode():
     from repro.api import ApiError
     payload = wire.encode_request(RunRequest("fig4a"))
@@ -305,11 +331,14 @@ def test_malformed_submissions_never_queued(tmp_path):
 
     backend = json.dumps({"experiment": "fig4a",
                           "backend": "packed"}).encode()
+    retired = json.dumps({"experiment": "fig4a",
+                          "executor": "multiprocessing"}).encode()
     bodies = [b"not json at all",
               json.dumps({"experiment": "no-such-experiment"}).encode(),
               json.dumps({"experiment": "fig4a",
                           "journal": "/tmp/evil"}).encode(),
               backend,
+              retired,
               json.dumps({"experiment": "fig4a",
                           "params": {"bogus_param": 1}}).encode(),
               json.dumps(["fig4a"]).encode()]
@@ -326,6 +355,9 @@ def test_malformed_submissions_never_queued(tmp_path):
             if body == backend:  # the removed field is an unknown field
                 assert response.status == 400
                 assert b"unknown field(s) ['backend']" in text
+            if body == retired:  # the retired pool: told the valid names
+                assert response.status == 400
+                assert b"['serial', 'shared_memory']" in text
         client = ServiceClient(port=port)
         assert client.jobs() == []
         assert client.health()["jobs"] == {}
