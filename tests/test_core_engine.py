@@ -194,6 +194,31 @@ def test_pool_workers_inherit_warm_caches(conv_setup):
     assert [entries for _, _, entries in results] == [float(len(warm))] * 2
 
 
+def test_pool_workers_do_not_inherit_caller_caches(conv_setup):
+    """Caches the caller warmed before changing the model's weights in
+    place are stale: the pool's warm-up drops them before the workers
+    fork, so each worker starts with only the fresh im2col entries."""
+    _, x, y = conv_setup
+    model = nn.Sequential([
+        QuantConv2D(4, 3, input_quantizer="ste_sign",
+                    kernel_quantizer="ste_sign"),
+        nn.Flatten(),
+        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+    ]).build((6, 6, 2), seed=1)
+    evaluator = CampaignEvaluator(model, x, y, batch_size=20)
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
+    evaluator.evaluate_plan(jobs[0].plan)  # warm the caller's caches
+    stale = model.layers[0]._input_cache.entries()
+    assert any(entry[1] != "cols" for entry in stale), \
+        "test premise: the caller holds more than the im2col entries"
+    model.layers[0].params["kernel"][...] *= -1
+    model.weights_version += 1  # an in-place weight update
+    results = _CacheProbeExecutor(n_jobs=2).run(jobs, evaluator)
+    warm = model.layers[0]._input_cache.entries()
+    assert [entry[1] for entry in warm] == ["cols"] * 3
+    assert [entries for _, _, entries in results] == [float(len(warm))] * 2
+
+
 def _worker_blas_threads(job):
     """Pool probe in place of an evaluation: the worker's BLAS threads."""
     return job.point_index, job.repeat_index, float(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.binary import QuantDense
+from repro.binary import QuantConv2D, QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultSpec,
                         SharedMemoryExecutor, build_jobs)
 from repro.core import engine as engine_mod
@@ -76,6 +76,46 @@ def test_pool_workers_never_recompute_the_prefix(trained_setup, tmp_path,
 def _psm_blocks() -> set[str]:
     return {name for name in os.listdir("/dev/shm")
             if name.startswith("psm_")}
+
+
+def _worker_hit_rate(job):
+    """Pool probe: run ``job`` on the worker's inherited evaluator and
+    return the hit rate of the lookups that evaluation made itself."""
+    evaluator = engine_mod._WORKER_EVALUATOR
+    before = evaluator.input_cache_stats()
+    evaluator.run_job(job)
+    after = evaluator.input_cache_stats()
+    hits = after["hits"] - before["hits"]
+    misses = after["misses"] - before["misses"]
+    return job.point_index, job.repeat_index, \
+        hits / (hits + misses) if hits + misses else 0.0
+
+
+class _HitRateProbeExecutor(SharedMemoryExecutor):
+    def _pool_functions(self, mode):
+        return _worker_hit_rate, _worker_hit_rate
+
+
+def test_cols_rep_planes_published():
+    """A conv split layer's im2col (``"cols"``) matrices reach the
+    workers with the parent's warm evaluator: every lookup a worker's
+    first evaluation makes is already a hit."""
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1.0, 1.0], size=(300, 6, 6, 2)).astype(np.float32)
+    y = rng.integers(0, 2, size=300)
+    model = nn.Sequential([
+        QuantConv2D(4, 3, input_quantizer="ste_sign",
+                    kernel_quantizer="ste_sign"),
+        nn.Flatten(),
+        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+    ]).build((6, 6, 2), seed=0)
+    evaluator = CampaignEvaluator(model, x, y, batch_size=25)
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
+    results = _HitRateProbeExecutor(n_jobs=2).run(jobs, evaluator)
+    cols = [entry for entry in model.layers[0]._input_cache.entries()
+            if entry[1] == "cols"]
+    assert len(cols) == 12  # one per test batch, warmed by the parent
+    assert [rate for _, _, rate in results] == [1.0, 1.0]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
