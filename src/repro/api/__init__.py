@@ -27,9 +27,7 @@ Streaming consumption::
 New workloads register with the :func:`experiment` decorator instead of
 growing a new module-level API — the CLI (``repro run/list/describe``),
 benchmarks, and CI smoke coverage pick them up from the metadata alone.
-Results are bit-identical to the legacy free functions (which now warn
-once and delegate); see ``docs/api.md`` for the schema and the
-old→new migration table.
+See ``docs/api.md`` for the schema.
 """
 
 from __future__ import annotations

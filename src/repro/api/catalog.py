@@ -1,10 +1,9 @@
 """The built-in experiment catalog: every paper driver as a registry entry.
 
-Each entry wraps the *identical* implementation the legacy free
-functions delegate to (``run_fig4a.__wrapped__`` etc.), so registry
-results are bit-identical to the legacy drivers by construction.  What
-the catalog adds is the uniform surface: declared parameters, quick
-smoke configurations, per-series journals, and the typed event stream.
+Each entry calls the experiment driver that implements it
+(:func:`repro.experiments.fig4.run_fig4a` etc.).  What the catalog
+adds is the uniform surface: declared parameters, quick smoke
+configurations, per-series journals, and the typed event stream.
 
 Registered entries (``repro list``):
 
@@ -82,12 +81,11 @@ def _sweep_report(ctx, results: dict, raw=None):
                       meta=_multi_meta(results))
 
 
-# -- the ad-hoc sweep (the old `repro sweep` subcommand) ------------------
+# -- the ad-hoc sweep ------------------------------------------------------
 
 @experiment(
     "sweep",
-    description="Accuracy-vs-rate sweep on the trained binary LeNet "
-                "(the old `repro sweep`).",
+    description="Accuracy-vs-rate sweep on the trained binary LeNet.",
     params=(Param("fault", "str", "bitflip", "fault model",
                   choices=("bitflip", "stuck_at")),
             Param("rates", "floats", [0.0, 0.1, 0.2, 0.3],
@@ -140,9 +138,8 @@ def _fig4_layer_family(ctx, runner, rates, repeats, images, rows, cols,
                         "per LeNet layer plus combined.")
 def _fig4a(ctx, rates, repeats, images, rows, cols, seed):
     from ..experiments import fig4
-    return _fig4_layer_family(ctx, fig4.run_fig4a.__wrapped__, rates,
-                              repeats, images, rows, cols, seed,
-                              fig4.DEFAULT_RATES)
+    return _fig4_layer_family(ctx, fig4.run_fig4a, rates, repeats, images,
+                              rows, cols, seed, fig4.DEFAULT_RATES)
 
 
 @experiment("fig4b", params=_FIG4_RATE_PARAMS, supports_journal=True,
@@ -151,9 +148,8 @@ def _fig4a(ctx, rates, repeats, images, rows, cols, seed):
                         "per LeNet layer plus combined.")
 def _fig4b(ctx, rates, repeats, images, rows, cols, seed):
     from ..experiments import fig4
-    return _fig4_layer_family(ctx, fig4.run_fig4b.__wrapped__, rates,
-                              repeats, images, rows, cols, seed,
-                              fig4.DEFAULT_RATES)
+    return _fig4_layer_family(ctx, fig4.run_fig4b, rates, repeats, images,
+                              rows, cols, seed, fig4.DEFAULT_RATES)
 
 
 @experiment(
@@ -170,7 +166,7 @@ def _fig4b(ctx, rates, repeats, images, rows, cols, seed):
 def _fig4c(ctx, periods, rate, repeats, images, rows, cols, seed):
     from ..experiments import fig4
     model, test = _lenet_mnist(images)
-    result = fig4.run_fig4c.__wrapped__(
+    result = fig4.run_fig4c(
         model, test, periods=tuple(periods), rate=rate, repeats=repeats,
         rows=rows, cols=cols, seed=seed, journal=ctx.journal_for(),
         progress=ctx.progress_for("dynamic"), **ctx.engine_kwargs())
@@ -204,9 +200,8 @@ def _fig4_line_family(ctx, runner, counts, repeats, images, rows, cols,
                         "per LeNet layer.")
 def _fig4d(ctx, counts, repeats, images, rows, cols, seed):
     from ..experiments import fig4
-    return _fig4_line_family(ctx, fig4.run_fig4d.__wrapped__, counts,
-                             repeats, images, rows, cols, seed,
-                             (0, 1, 2, 3, 4))
+    return _fig4_line_family(ctx, fig4.run_fig4d, counts, repeats, images,
+                             rows, cols, seed, (0, 1, 2, 3, 4))
 
 
 @experiment("fig4e", params=_FIG4_LINE_PARAMS, supports_journal=True,
@@ -215,8 +210,8 @@ def _fig4d(ctx, counts, repeats, images, rows, cols, seed):
                         "per LeNet layer.")
 def _fig4e(ctx, counts, repeats, images, rows, cols, seed):
     from ..experiments import fig4
-    return _fig4_line_family(ctx, fig4.run_fig4e.__wrapped__, counts,
-                             repeats, images, rows, cols, seed,
+    return _fig4_line_family(ctx, fig4.run_fig4e, counts, repeats, images,
+                             rows, cols, seed,
                              (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20))
 
 
@@ -269,7 +264,7 @@ def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
         workload, test = _tiny_runtime_workload(seed)
     else:
         workload, test = _lenet_mnist(images)
-    outcome = fig4.run_fig4f.__wrapped__(
+    outcome = fig4.run_fig4f(
         workload, test, passes=passes, xfault_images=xfault_images,
         serial_images=serial_images, rows=rows, cols=cols,
         gate_family=gate, seed=seed)
@@ -312,8 +307,8 @@ def _fig5a(ctx, models, rates, repeats, images, rows, cols, seed):
     from ..experiments import fig5
     axis = {"rates": list(rates if rates is not None
                           else fig5.BITFLIP_RATES)}
-    return _fig5_family(ctx, fig5.run_fig5a.__wrapped__, models, repeats,
-                        images, rows, cols, seed, axis)
+    return _fig5_family(ctx, fig5.run_fig5a, models, repeats, images,
+                        rows, cols, seed, axis)
 
 
 @experiment(
@@ -330,8 +325,8 @@ def _fig5b(ctx, models, rates, repeats, images, rows, cols, seed):
     from ..experiments import fig5
     axis = {"rates": list(rates if rates is not None
                           else fig5.STUCKAT_RATES)}
-    return _fig5_family(ctx, fig5.run_fig5b.__wrapped__, models, repeats,
-                        images, rows, cols, seed, axis)
+    return _fig5_family(ctx, fig5.run_fig5b, models, repeats, images,
+                        rows, cols, seed, axis)
 
 
 @experiment(
@@ -350,8 +345,8 @@ def _fig5c(ctx, models, periods, rate, repeats, images, rows, cols, seed):
     axis = {"periods": list(periods if periods is not None
                             else fig5.DYNAMIC_PERIODS),
             "rate": rate}
-    return _fig5_family(ctx, fig5.run_fig5c.__wrapped__, models, repeats,
-                        images, rows, cols, seed, axis)
+    return _fig5_family(ctx, fig5.run_fig5c, models, repeats, images,
+                        rows, cols, seed, axis)
 
 
 # -- tables ---------------------------------------------------------------

@@ -172,14 +172,6 @@ class InputRepCache:
             counts.setdefault(key, [0, 0])[1] += 1
         return None
 
-    def peek(self, tag: str, x: np.ndarray):
-        """:meth:`get` without LRU or statistics side effects (used by the
-        campaign engine's plane publisher)."""
-        for entry in self._entries:
-            if entry[1] == tag and entry[2] is x:
-                return entry[3]
-        return None
-
     def put(self, tag: str, x: np.ndarray, value, owner=None) -> None:
         """Memoize ``value`` for ``(tag, x)`` under ``owner``'s budget."""
         if x.flags.writeable:

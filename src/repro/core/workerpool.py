@@ -18,8 +18,9 @@ import ctypes
 import functools
 import multiprocessing
 import os
+import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing.queues import SimpleQueue
 from typing import Any
 
@@ -33,6 +34,11 @@ _BLAS_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+
+#: how long :meth:`WorkerPool.kill_workers` waits for started workers to
+#: report their pids: ``_REPORT_POLLS`` polls ``_REPORT_POLL_S`` apart
+_REPORT_POLLS = 500
+_REPORT_POLL_S = 0.01
 
 
 @functools.cache
@@ -85,26 +91,49 @@ class WorkerPool(ProcessPoolExecutor):
     Python 3.11 has no public way to do that (``kill_workers()`` arrives
     in 3.14), so every worker reports its pid through a queue handed to
     its initializer, and :meth:`kill_workers` SIGKILLs the live children
-    with those pids.  Workers start by ``fork`` (all of them at the
-    first ``submit``), so ``initargs`` reach them as inherited memory,
-    never pickled.
+    with those pids, once every started worker has reported.  Workers
+    start by ``fork`` (all of them at the first ``submit``), so
+    ``initargs`` reach them as inherited memory, never pickled.
     """
 
     def __init__(self, max_workers: int, initializer: Callable[..., object],
                  initargs: tuple[Any, ...] = ()) -> None:
         context = multiprocessing.get_context("fork")
         self._pid_queue: SimpleQueue[int] = context.SimpleQueue()
+        self._n_workers = max_workers
+        self._started = False
+        self._pids: set[int] = set()
         super().__init__(max_workers, mp_context=context,
                          initializer=_report_pid,
                          initargs=(self._pid_queue, initializer, initargs))
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any,
+               **kwargs: Any) -> Future[Any]:
+        future = super().submit(fn, *args, **kwargs)
+        self._started = True  # the first submit forked every worker
+        return future
+
+    def _reported_pids(self) -> set[int]:
+        """Pids of the started workers, waiting (for at most ~5 s) for
+        those that forked but have not reported yet.  The wait ends early
+        once every live child has reported: a worker the executor
+        terminated before it could report is not waited for."""
+        expected = self._n_workers if self._started else 0
+        for _ in range(_REPORT_POLLS):
+            while not self._pid_queue.empty():
+                self._pids.add(self._pid_queue.get())
+            if len(self._pids) >= expected or all(
+                    process.pid in self._pids
+                    for process in multiprocessing.active_children()):
+                break
+            time.sleep(_REPORT_POLL_S)
+        return self._pids
 
     def kill_workers(self) -> None:
         """SIGKILL every worker and shut down without waiting: pending
         futures are cancelled, running ones fail with
         :class:`~concurrent.futures.process.BrokenProcessPool`."""
-        pids: set[int] = set()
-        while not self._pid_queue.empty():
-            pids.add(self._pid_queue.get())
+        pids = self._reported_pids()
         killed = [process for process in multiprocessing.active_children()
                   if process.pid in pids]
         for process in killed:

@@ -11,7 +11,6 @@ crossbar per layer.
 
 from __future__ import annotations
 
-from .._compat import legacy
 from ..analysis.runtime import RuntimeSample, extrapolate, measure, speedup_table
 from ..core import FaultCampaign, FaultInjector, FaultGenerator, FaultSpec, SweepResult
 from ..data import Dataset
@@ -77,7 +76,6 @@ def layer_sweeps(model: Sequential, test: Dataset, spec_factory,
     return results
 
 
-@legacy("repro.api.run('fig4a', ...) / repro run fig4a")
 def run_fig4a(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
               repeats: int = 10, rows: int = 40, cols: int = 10,
               seed: int = 0, **engine) -> dict[str, SweepResult]:
@@ -86,7 +84,6 @@ def run_fig4a(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
                         rows, cols, seed=seed, **engine)
 
 
-@legacy("repro.api.run('fig4b', ...) / repro run fig4b")
 def run_fig4b(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
               repeats: int = 10, rows: int = 40, cols: int = 10,
               seed: int = 0, **engine) -> dict[str, SweepResult]:
@@ -95,7 +92,6 @@ def run_fig4b(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
                         rows, cols, seed=seed, **engine)
 
 
-@legacy("repro.api.run('fig4c', ...) / repro run fig4c")
 def run_fig4c(model: Sequential, test: Dataset, periods=(0, 1, 2, 3, 4),
               rate: float = 0.10, repeats: int = 10, rows: int = 40,
               cols: int = 10, seed: int = 0, executor: str | object = "serial",
@@ -134,7 +130,6 @@ def _line_sweeps(model, test, spec_for_count, counts, repeats, rows, cols,
     return results
 
 
-@legacy("repro.api.run('fig4d', ...) / repro run fig4d")
 def run_fig4d(model: Sequential, test: Dataset, counts=(0, 1, 2, 3, 4),
               repeats: int = 10, rows: int = 40, cols: int = 10,
               seed: int = 0, layer_names=LENET_MAPPED_LAYERS,
@@ -149,7 +144,6 @@ def run_fig4d(model: Sequential, test: Dataset, counts=(0, 1, 2, 3, 4),
                         progress, journal_for)
 
 
-@legacy("repro.api.run('fig4e', ...) / repro run fig4e")
 def run_fig4e(model: Sequential, test: Dataset,
               counts=(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20),
               repeats: int = 10, rows: int = 40, cols: int = 10,
@@ -165,7 +159,6 @@ def run_fig4e(model: Sequential, test: Dataset,
                         progress, journal_for)
 
 
-@legacy("repro.api.run('fig4f', ...) / repro run fig4f")
 def run_fig4f(model: Sequential, test: Dataset, passes: int = 3,
               xfault_images: int = 2, serial_images: int = 1,
               rows: int = 40, cols: int = 10,

@@ -7,7 +7,6 @@ paper's axes: bit-flips 0-20%, stuck-at 0-2%, dynamic periods 0-5.
 
 from __future__ import annotations
 
-from .._compat import legacy
 from ..core import FaultCampaign, FaultSpec, SweepResult
 from ..data import Dataset
 from ..models.zoo import model_names
@@ -59,7 +58,6 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
     return results
 
 
-@legacy("repro.api.run('fig5a', ...) / repro run fig5a")
 def run_fig5a(models: list[str] | None = None, rates=BITFLIP_RATES,
               repeats: int = 5, seed: int = 0, **kwargs) -> dict[str, SweepResult]:
     """Fig. 5a: bit-flip rate vs accuracy across architectures."""
@@ -67,7 +65,6 @@ def run_fig5a(models: list[str] | None = None, rates=BITFLIP_RATES,
                        repeats=repeats, seed=seed, **kwargs)
 
 
-@legacy("repro.api.run('fig5b', ...) / repro run fig5b")
 def run_fig5b(models: list[str] | None = None, rates=STUCKAT_RATES,
               repeats: int = 5, seed: int = 0, **kwargs) -> dict[str, SweepResult]:
     """Fig. 5b: stuck-at rate vs accuracy across architectures."""
@@ -75,7 +72,6 @@ def run_fig5b(models: list[str] | None = None, rates=STUCKAT_RATES,
                        repeats=repeats, seed=seed, **kwargs)
 
 
-@legacy("repro.api.run('fig5c', ...) / repro run fig5c")
 def run_fig5c(models: list[str] | None = None, periods=DYNAMIC_PERIODS,
               rate: float = 0.10, repeats: int = 5, seed: int = 0,
               **kwargs) -> dict[str, SweepResult]:

@@ -36,9 +36,7 @@ def run_lifetime_trajectory(model: Sequential, test: Dataset,
     to :func:`repro.scenarios.run_scenario` unchanged (one compiled
     grid is one campaign).
     """
-    # .__wrapped__ skips the legacy-entry-point DeprecationWarning: this
-    # driver *is* the supported path the registry runs scenarios through
-    return run_scenario.__wrapped__(
+    return run_scenario(
         scenario, model, test.x, test.y, repeats=repeats,
         seed=seed, rows=rows, cols=cols, executor=executor,
         n_jobs=n_jobs, cache_bytes=cache_bytes,

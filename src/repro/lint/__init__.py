@@ -1,12 +1,12 @@
 """``repro.lint`` — AST-based invariant checker for this repository.
 
 Mechanically enforces the contracts the reproduction's trustworthiness
-rests on: seeded-RNG determinism, shared-memory lifecycle, typed failure
-routing, frozen protocol records, and event-protocol exhaustiveness.
-Since PR 10 the lifecycle/determinism rules are *flow-sensitive*: they
-reason over intraprocedural CFGs (:mod:`repro.lint.cfg`) with reaching
-definitions and taint propagation (:mod:`repro.lint.flow`), so a
-violation is a provable path, not a missing keyword nearby.
+rests on: seeded-RNG determinism, typed failure routing, frozen
+protocol records, and event-protocol exhaustiveness.  The determinism
+and ordering rules are *flow-sensitive*: they reason over
+intraprocedural CFGs (:mod:`repro.lint.cfg`) with reaching definitions
+and taint propagation (:mod:`repro.lint.flow`), so a violation is a
+provable path, not a missing keyword nearby.
 See ``docs/static-analysis.md`` for the rule catalog, the
 ``# repro: allow[rule-id]`` suppression syntax, and the baseline
 workflow; run it as ``repro lint`` or ``python -m repro.lint``.
@@ -26,7 +26,7 @@ from .project import (LintUsageError, Module, ParseFailure, Project,
 from .rules import (DEFAULT_RULES, EventExhaustiveness, FrozenRecords,
                     JournalOrder, NoGlobalRng, NoSilentExcept,
                     NoUnpicklableSubmit, NoWallClock, ObsPickleBoundary,
-                    ProtocolDrift, RngTaint, ShmLeakPath, UnboundedQueue)
+                    ProtocolDrift, RngTaint, UnboundedQueue)
 from .runner import LintResult, changed_files, lint_command, main, run_lint
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "ProtocolDrift",
     "RngTaint",
     "Rule",
-    "ShmLeakPath",
     "UnboundedQueue",
     "build_cfg",
     "changed_files",

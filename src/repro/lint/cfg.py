@@ -1,10 +1,10 @@
 """Intraprocedural control-flow graphs over :mod:`ast` statements.
 
-The flow-sensitive rules (:mod:`repro.lint.flow`, the ``*-path``/
-``*-taint`` rules in :mod:`repro.lint.rules`) need to reason about
-*paths*, not syntax: "does every path from this ``SharedMemory`` create
-reach a release, including the path where the very next call raises?"
-This module builds the graph those questions are asked on.
+The flow-sensitive rules (:mod:`repro.lint.flow`, the ``*-taint``/
+``*-order`` rules in :mod:`repro.lint.rules`) need to reason about
+*paths*, not syntax: "does every path to this ``DONE`` transition pass
+the ``save_result`` write, including the path where a call in between
+raises?"  This module builds the graph those questions are asked on.
 
 Design points:
 
@@ -90,18 +90,11 @@ class CFG:
                 preds[succ].add(node.index)
         return preds
 
-    def reachable_without(self, start: int, stop: frozenset[int], *,
-                          skip_exceptional_from: frozenset[int] = frozenset()
-                          ) -> set[int]:
+    def reachable_without(self, start: int,
+                          stop: frozenset[int]) -> set[int]:
         """Nodes reachable from ``start`` along paths that never pass
-        through a ``stop`` node.
-
-        ``stop`` nodes are reached but not expanded — the shape leak
-        rules need: "can the exit be reached without executing a
-        release?".  Exceptional edges are followed except out of nodes
-        in ``skip_exceptional_from`` (a create call that itself raises
-        never produced the resource).
-        """
+        through a ``stop`` node (``stop`` nodes are reached but not
+        expanded).  Exceptional edges are followed."""
         seen: set[int] = set()
         frontier = [start]
         while frontier:
@@ -111,10 +104,8 @@ class CFG:
             seen.add(index)
             if index in stop:
                 continue
-            node = self.nodes[index]
-            targets = (node.succ if index in skip_exceptional_from
-                       else node.successors())
-            frontier.extend(t for t in targets if t not in seen)
+            frontier.extend(t for t in self.nodes[index].successors()
+                            if t not in seen)
         return seen
 
     def dominators(self) -> list[set[int]]:

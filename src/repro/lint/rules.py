@@ -1,11 +1,11 @@
 """The repo-specific invariant rules.
 
 Each rule encodes one contract the reproduction's trustworthiness rests
-on — determinism (seeded RNG flow), resource lifecycle (shared-memory
-release), failure routing (no silent excepts), and the typed-event
-protocol (frozen records, exhaustive rendering/relaying).  Rules are
-pure AST analyses over a :class:`~repro.lint.project.Project`; none of
-them import or execute the code under check.
+on — determinism (seeded RNG flow), failure routing (no silent
+excepts), and the typed-event protocol (frozen records, exhaustive
+rendering/relaying).  Rules are pure AST analyses over a
+:class:`~repro.lint.project.Project`; none of them import or execute
+the code under check.
 
 Two families coexist here:
 
@@ -13,9 +13,9 @@ Two families coexist here:
   (``no-global-rng``, ``no-wall-clock``, ...);
 * **flow rules** reason about *paths* on the intraprocedural CFGs of
   :mod:`repro.lint.cfg` with the dataflow analyses of
-  :mod:`repro.lint.flow` (``shm-leak-path``, ``rng-taint``,
-  ``obs-pickle-boundary``, ``journal-order``) — a violation is a
-  provable path, not a missing keyword nearby.
+  :mod:`repro.lint.flow` (``rng-taint``, ``obs-pickle-boundary``,
+  ``journal-order``) — a violation is a provable path, not a missing
+  keyword nearby.
 
 The catalog (rule id → contract) is documented for humans in
 ``docs/static-analysis.md``; the ``protocol-drift`` rule fails the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from .cfg import CFG, CFGNode, Scope, build_cfg, iter_scopes, shallow_walk
+from .cfg import CFGNode, build_cfg, iter_scopes, shallow_walk
 from .findings import Finding, Rule
 from .flow import expr_is_tainted, propagate_taint
 from .project import Module, Project
@@ -44,7 +44,6 @@ __all__ = [
     "ObsPickleBoundary",
     "ProtocolDrift",
     "RngTaint",
-    "ShmLeakPath",
     "UnboundedQueue",
 ]
 
@@ -210,209 +209,6 @@ def _called_name(call: ast.Call) -> str | None:
     callee = call.func
     return (callee.attr if isinstance(callee, ast.Attribute)
             else callee.id if isinstance(callee, ast.Name) else None)
-
-
-def _mentions(expr: ast.AST, name: str) -> bool:
-    """Whether ``expr`` reads ``name`` (shallow — nested scopes are
-    their own contracts)."""
-    return any(isinstance(leaf, ast.Name) and leaf.id == name
-               and isinstance(leaf.ctx, ast.Load)
-               for leaf in shallow_walk(expr))
-
-
-def _escapes(expr: ast.AST, name: str) -> bool:
-    """Whether the *object* bound to ``name`` escapes through ``expr``.
-
-    Reading an attribute off it (``shm.name``, ``shm.buf``) derives a
-    value but does not hand the block itself to anyone — only a bare
-    reference counts as an ownership transfer."""
-    derived = {leaf.value for leaf in ast.walk(expr)
-               if isinstance(leaf, ast.Attribute)}
-    return any(isinstance(leaf, ast.Name) and leaf.id == name
-               and isinstance(leaf.ctx, ast.Load) and leaf not in derived
-               for leaf in ast.walk(expr))
-
-
-class ShmLeakPath:
-    """A created shared-memory block must be released on *every* path.
-
-    Flow-sensitive successor of the old syntactic ``shm-lifecycle``
-    rule: from each ``name = SharedMemory(create=True)`` definition, it
-    walks the function's CFG — exceptional edges included — and demands
-    that every path to the scope exit passes a point where the block is
-    released (``name.close()``/``name.unlink()``), handed to a lifecycle
-    owner (``owner.append(name)`` / ``register(name)`` /
-    ``_release_shared_blocks([name])``), stored (``self.x = name``,
-    ``d[k] = name``), or returned to the caller.  A path where the very
-    next call raises and skips the release is exactly the leak this
-    reports — "there is a ``try/finally`` nearby" is no longer proof.
-
-    A conditional release guarded on the tracked name itself
-    (``if shm is not None: shm.close()``) counts as releasing at the
-    guard: the idiomatic ``finally`` pattern stays legal.
-    """
-
-    rule_id = "shm-leak-path"
-    summary = ("every CFG path from SharedMemory(create=True) must reach "
-               "a release/owner-registration, exceptional edges included")
-    #: call names that take ownership of a block passed as an argument
-    _register_calls = frozenset({"append", "register", "track", "add"})
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for module in project.modules:
-            for scope in iter_scopes(module.tree):
-                yield from self._check_scope(module, scope)
-
-    def _check_scope(self, module: Module,
-                     scope: Scope) -> Iterator[Finding]:
-        if not scope.body or not any(
-                self._creates_block(module, leaf)
-                for stmt in scope.body for leaf in shallow_walk(stmt)):
-            return
-        cfg = build_cfg(scope)
-        for node in cfg.nodes:
-            for code in node.code:
-                for leaf in shallow_walk(code):
-                    if isinstance(leaf, ast.Call) \
-                            and self._creates_block(module, leaf):
-                        yield from self._check_create(module, cfg, node,
-                                                      leaf)
-
-    def _creates_block(self, module: Module, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        canonical = module.resolve(node.func)
-        if canonical is None or canonical.rpartition(".")[2] != "SharedMemory":
-            return False
-        return any(kw.arg == "create" and isinstance(kw.value, ast.Constant)
-                   and kw.value.value is True for kw in node.keywords)
-
-    def _check_create(self, module: Module, cfg: CFG, node: CFGNode,
-                      create: ast.Call) -> Iterator[Finding]:
-        name = self._bound_name(node, create)
-        if name is None:
-            # ownership transferred at the create site itself: assigned
-            # to an attribute/subscript, registered inline, returned,
-            # or entered as a context manager
-            if self._owned_at_create(node, create):
-                return
-            yield from _finding(
-                module, create, self.rule_id,
-                "SharedMemory(create=True) is never bound to a releasable "
-                "name; the block leaks the moment this statement "
-                "completes")
-            return
-        releases = frozenset(
-            other.index for other in cfg.nodes
-            if other.index != node.index and self._releases(other, name))
-        reached = cfg.reachable_without(
-            node.index, releases,
-            skip_exceptional_from=frozenset({node.index}))
-        if cfg.exit not in reached:
-            return
-        normal_only = self._normal_reach(cfg, node.index, releases)
-        how = ("only via an exceptional edge (an exception between "
-               "create and release skips the cleanup)"
-               if cfg.exit not in normal_only else "on a normal path")
-        yield from _finding(
-            module, create, self.rule_id,
-            f"SharedMemory(create=True) bound to {name!r} can reach the "
-            f"end of the scope without close()/unlink()/owner "
-            f"registration {how}; the psm_* block would leak until "
-            "reboot")
-
-    @staticmethod
-    def _normal_reach(cfg: CFG, start: int,
-                      releases: frozenset[int]) -> set[int]:
-        seen: set[int] = set()
-        frontier = [start]
-        while frontier:
-            index = frontier.pop()
-            if index in seen:
-                continue
-            seen.add(index)
-            if index in releases and index != start:
-                continue
-            frontier.extend(cfg.nodes[index].succ - seen)
-        return seen
-
-    @staticmethod
-    def _bound_name(node: CFGNode, create: ast.Call) -> str | None:
-        """The plain name the create call is assigned to, if the node is
-        a straight ``name = SharedMemory(create=True)`` binding."""
-        stmt = node.stmt
-        if isinstance(stmt, ast.Assign) and stmt.value is create:
-            targets = stmt.targets
-            if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                return targets[0].id
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is create \
-                and isinstance(stmt.target, ast.Name):
-            return stmt.target.id
-        return None
-
-    def _owned_at_create(self, node: CFGNode, create: ast.Call) -> bool:
-        stmt = node.stmt
-        if isinstance(stmt, (ast.Return, ast.Assign, ast.AnnAssign)):
-            # returned, or stored into an attribute/subscript owner
-            return True
-        if node.kind == "with":
-            return True
-        for code in node.code:
-            for leaf in shallow_walk(code):
-                if (isinstance(leaf, ast.Call) and leaf is not create
-                        and _called_name(leaf) in self._register_calls
-                        and any(create is sub for arg in leaf.args
-                                for sub in ast.walk(arg))):
-                    return True
-        return False
-
-    def _releases(self, node: CFGNode, name: str) -> bool:
-        """Whether executing ``node`` releases or transfers ownership of
-        the block bound to ``name``."""
-        stmt = node.stmt
-        # `if shm is not None: shm.close()` — reaching the guard counts,
-        # because the branch condition is about the tracked name itself
-        if (node.kind == "test" and isinstance(stmt, ast.If)
-                and _mentions(stmt.test, name)
-                and any(self._release_action(leaf, name)
-                        for leaf in ast.walk(stmt))):
-            return True
-        if node.kind == "with" and any(
-                _mentions(code, name) for code in node.code):
-            return True
-        for code in node.code:
-            for leaf in shallow_walk(code):
-                if self._release_action(leaf, name):
-                    return True
-        if isinstance(stmt, ast.Return) and node.kind == "stmt" \
-                and stmt.value is not None and _escapes(stmt.value, name):
-            return True
-        return False
-
-    def _release_action(self, leaf: ast.AST, name: str) -> bool:
-        if isinstance(leaf, ast.Call):
-            func = leaf.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in ("close", "unlink")
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == name):
-                return True
-            called = _called_name(leaf)
-            if called is not None and (
-                    called in self._register_calls
-                    or "release" in called or "unlink" in called
-                    or "close" in called):
-                if any(_escapes(arg, name) for arg in leaf.args) or any(
-                        _escapes(kw.value, name) for kw in leaf.keywords):
-                    return True
-        if isinstance(leaf, ast.Assign) and _escapes(leaf.value, name) \
-                and any(isinstance(t, (ast.Attribute, ast.Subscript))
-                        for t in leaf.targets):
-            return True
-        if isinstance(leaf, (ast.Yield, ast.YieldFrom)) \
-                and leaf.value is not None and _escapes(leaf.value, name):
-            return True
-        return False
 
 
 class NoSilentExcept:
@@ -1121,7 +917,7 @@ class ProtocolDrift:
 
 
 DEFAULT_RULES: tuple[Rule, ...] = (
-    NoGlobalRng(), NoWallClock(), ShmLeakPath(), NoSilentExcept(),
+    NoGlobalRng(), NoWallClock(), NoSilentExcept(),
     FrozenRecords(), EventExhaustiveness(), ProtocolDrift(),
     NoUnpicklableSubmit(), UnboundedQueue(), RngTaint(),
     ObsPickleBoundary(), JournalOrder(),

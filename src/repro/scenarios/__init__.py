@@ -5,8 +5,8 @@ platform: a declarative spec layer (:mod:`.spec`) describes *stories* —
 fault clauses driven by lifetime endurance curves, spatially-correlated
 placement, environment episodes — a compiler (:mod:`.compile`) lowers
 them onto the existing campaign grid, and a zoo (:mod:`.zoo`) ships six
-named stories runnable from the CLI (``repro scenarios run/list``) or
-the :func:`run_scenario` API.
+named stories runnable from the CLI (``repro run <name>``; the zoo is
+listed by ``repro scenarios list``) or the :func:`run_scenario` API.
 """
 
 from .compile import CompiledCell, CompiledGrid, compile_scenario

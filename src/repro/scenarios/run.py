@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .._compat import legacy
 from ..core.campaign import FaultCampaign, SweepResult
 from .compile import CompiledGrid, compile_scenario
 from .spec import Scenario, ScenarioError
@@ -127,7 +126,6 @@ class ScenarioResult:
                 f"[{points}] x{self.grid.n_episodes} episodes>")
 
 
-@legacy("repro.api.run('<scenario-name>', ...) / repro run <scenario-name>")
 def run_scenario(scenario, model, x_test, y_test, *,
                  repeats: int = 3, seed: int = 0,
                  rows: int = 40, cols: int = 10, batch_size: int = 256,

@@ -3,9 +3,8 @@
 Covers the registry contracts (duplicate names, unknown params, quick
 overrides), request validation, the streaming event contract
 (CellDone/CheckpointDone/RunWarning ordering), journal/resume through
-``RunRequest``, bit-identity of registry entries against the legacy
-free-function drivers, and the once-per-process deprecation warnings on
-those legacy entry points.
+``RunRequest``, bit-identity of registry entries against the
+experiment drivers they call, and a warning-free registry path.
 """
 
 import json
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro._compat import reset_legacy_warnings
 from repro.api import (ApiError, CellDone, CheckpointDone, Experiment,
                        ExperimentRegistry, Param, RunFinished, RunRequest,
                        RunStarted, RunWarning)
@@ -228,9 +226,9 @@ def test_report_save_is_atomic(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]
 
 
-# -- bit-identity against the legacy drivers ------------------------------
+# -- bit-identity against the experiment drivers -------------------------
 
-def _legacy_lenet_test(images):
+def _lenet_test(images):
     from repro.experiments import get_mnist, trained_lenet
     model = trained_lenet()
     _, test = get_mnist()
@@ -239,13 +237,13 @@ def _legacy_lenet_test(images):
 
 def test_fig4a_registry_matches_legacy_driver():
     from repro.experiments import fig4
-    model, test = _legacy_lenet_test(TINY["images"])
-    legacy = fig4.run_fig4a.__wrapped__(
+    model, test = _lenet_test(TINY["images"])
+    direct = fig4.run_fig4a(
         model, test, rates=tuple(TINY["rates"]), repeats=TINY["repeats"],
         rows=TINY["rows"], cols=TINY["cols"])
     report = api.run("fig4a", params=TINY)
-    assert set(report.raw) == set(legacy)
-    for label, result in legacy.items():
+    assert set(report.raw) == set(direct)
+    for label, result in direct.items():
         np.testing.assert_array_equal(report.raw[label].accuracies,
                                       result.accuracies)
         assert report.raw[label].baseline == result.baseline
@@ -254,7 +252,7 @@ def test_fig4a_registry_matches_legacy_driver():
 def test_fig5a_registry_matches_legacy_driver():
     from repro.experiments import fig5, get_imagenet
     _, test = get_imagenet()
-    legacy = fig5.run_fig5a.__wrapped__(
+    direct = fig5.run_fig5a(
         models=["binary_alexnet"], rates=(0.0, 0.2), repeats=1,
         test=test.subset(60))
     report = api.run("fig5a", params=dict(models=["binary_alexnet"],
@@ -262,18 +260,18 @@ def test_fig5a_registry_matches_legacy_driver():
                                           images=60))
     np.testing.assert_array_equal(
         report.raw["binary_alexnet"].accuracies,
-        legacy["binary_alexnet"].accuracies)
+        direct["binary_alexnet"].accuracies)
 
 
 def test_end_of_life_registry_matches_legacy_driver():
     from repro.scenarios import run_scenario
-    model, test = _legacy_lenet_test(60)
-    legacy = run_scenario.__wrapped__("end-of-life", model, test.x, test.y,
-                                      repeats=1, rows=8, cols=4)
+    model, test = _lenet_test(60)
+    direct = run_scenario("end-of-life", model, test.x, test.y,
+                          repeats=1, rows=8, cols=4)
     report = api.run("end-of-life",
                      params=dict(repeats=1, images=60, rows=8, cols=4))
-    np.testing.assert_array_equal(report.raw.accuracies, legacy.accuracies)
-    assert report.baseline == legacy.baseline
+    np.testing.assert_array_equal(report.raw.accuracies, direct.accuracies)
+    assert report.baseline == direct.baseline
 
 
 def test_sweep_bit_identical_across_executors():
@@ -341,45 +339,10 @@ def test_scenario_journal_resume_through_request(tmp_path):
                                   first.raw.accuracies)
 
 
-# -- legacy deprecation pins ----------------------------------------------
-
-def test_legacy_fig4a_warns_once_per_process():
-    from repro.experiments import fig4
-    model, test = _legacy_lenet_test(40)
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="run_fig4a"):
-        fig4.run_fig4a(model, test, rates=(0.0,), repeats=1,
-                       rows=8, cols=4, layer_names=("conv1",))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fig4.run_fig4a(model, test, rates=(0.0,), repeats=1,
-                       rows=8, cols=4, layer_names=("conv1",))
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-
-def test_legacy_run_scenario_warns():
-    from repro.scenarios import run_scenario
-    model, test = _legacy_lenet_test(40)
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="run_scenario"):
-        run_scenario("fresh-device", model, test.x, test.y, repeats=1,
-                     rows=8, cols=4)
-
-
-def test_legacy_run_fig5a_warns():
-    from repro.experiments import fig5, get_imagenet
-    _, test = get_imagenet()
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="run_fig5a"):
-        fig5.run_fig5a(models=["binary_alexnet"], rates=(0.0,), repeats=1,
-                       test=test.subset(40))
-
+# -- the supported path is warning-free ---------------------------------
 
 def test_registry_path_does_not_warn():
-    """The registry calls the identical implementation *without* the
-    legacy warning — the supported path must stay quiet."""
-    reset_legacy_warnings()
+    """The supported path must stay quiet."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         api.run("fig4a", params=dict(rates=[0.0], repeats=1, images=40,

@@ -13,6 +13,13 @@ import pytest
 from repro.cli import build_parser, main
 
 
+TINY_SWEEP = ["--param", "rates=0.0,0.3", "--param", "repeats=1",
+              "--param", "images=60", "--param", "rows=8",
+              "--param", "cols=4"]
+TINY_SCENARIO = ["--param", "images=60", "--param", "repeats=1",
+                 "--param", "rows=8", "--param", "cols=4"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,8 +104,9 @@ def test_unknown_model_rejected():
 def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
     """End-to-end: pool executor + journal + resume through the CLI."""
     journal = str(tmp_path / "sweep.jsonl")
-    argv = ["sweep", "--rates", "0.0", "0.3", "--repeats", "2",
-            "--images", "60", "--rows", "8", "--cols", "4",
+    argv = ["run", "sweep", "--param", "rates=0.0,0.3",
+            "--param", "repeats=2", "--param", "images=60",
+            "--param", "rows=8", "--param", "cols=4",
             "--jobs", "2", "--journal", journal]
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -117,16 +125,14 @@ def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
 
 
 def test_sweep_resume_requires_journal(capsys):
-    code = main(["sweep", "--resume"])
+    code = main(["run", "sweep", "--resume"])
     captured = capsys.readouterr()
     assert code == 2
     assert "--journal" in captured.err
 
 
-def test_sweep_shared_memory_executor_smoke(capsys, tmp_path):
-    code, out = run_cli(capsys, "sweep", "--rates", "0.0", "0.3",
-                        "--repeats", "2", "--images", "60",
-                        "--rows", "8", "--cols", "4",
+def test_sweep_shared_memory_executor_smoke(capsys):
+    code, out = run_cli(capsys, "run", "sweep", *TINY_SWEEP,
                         "--jobs", "2", "--executor", "shared_memory")
     assert code == 0
     assert "[shared_memory]" in out
@@ -148,15 +154,23 @@ def test_scenarios_list(capsys):
         assert name in out
 
 
+def test_removed_shim_commands_are_usage_errors(capsys):
+    for argv in (["sweep"], ["scenarios", "run", "fresh-device"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_scenarios_run_requires_a_scenario(capsys):
-    code = main(["scenarios", "run"])
+    code = main(["run", "scenario"])
     captured = capsys.readouterr()
     assert code == 2
     assert "scenarios list" in captured.err
 
 
 def test_scenarios_run_unknown_zoo_name(capsys):
-    code = main(["scenarios", "run", "mid-life-crisis"])
+    code = main(["run", "scenario", "--param", "name=mid-life-crisis"])
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown scenario" in captured.err
@@ -165,7 +179,7 @@ def test_scenarios_run_unknown_zoo_name(capsys):
 def test_scenarios_run_malformed_spec_file(capsys, tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("{unclosed")
-    code = main(["scenarios", "run", "--spec", str(path)])
+    code = main(["run", "scenario", "--param", f"spec={path}"])
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
@@ -176,7 +190,7 @@ def test_scenarios_run_spec_with_unknown_keys(capsys, tmp_path):
     path.write_text('{"name": "t", "timeline": {"ages": [0.0]}, '
                     '"clauses": [{"kind": "bitflip", "rate": 0.1}], '
                     '"sauces": []}')
-    code = main(["scenarios", "run", "--spec", str(path)])
+    code = main(["run", "scenario", "--param", f"spec={path}"])
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown key" in captured.err
@@ -185,9 +199,7 @@ def test_scenarios_run_spec_with_unknown_keys(capsys, tmp_path):
 def test_scenarios_run_smoke_and_journal_guards(capsys, tmp_path):
     """End-to-end scenario run + the journal exit-2 contract."""
     journal = str(tmp_path / "scenario.jsonl")
-    argv = ["scenarios", "run", "fresh-device", "--images", "60",
-            "--repeats", "1", "--rows", "8", "--cols", "4",
-            "--journal", journal]
+    argv = ["run", "fresh-device", *TINY_SCENARIO, "--journal", journal]
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "fresh-device" in out
@@ -199,8 +211,7 @@ def test_scenarios_run_smoke_and_journal_guards(capsys, tmp_path):
     assert code == 2
 
     # ... and a journal written for a *different* scenario is refused
-    code = main(["scenarios", "run", "end-of-life", "--images", "60",
-                 "--repeats", "1", "--rows", "8", "--cols", "4",
+    code = main(["run", "end-of-life", *TINY_SCENARIO,
                  "--journal", journal, "--resume"])
     captured = capsys.readouterr()
     assert code == 2
@@ -213,7 +224,7 @@ def test_scenarios_run_smoke_and_journal_guards(capsys, tmp_path):
 
 
 def test_scenarios_run_resume_requires_journal(capsys):
-    code = main(["scenarios", "run", "fresh-device", "--resume"])
+    code = main(["run", "fresh-device", "--resume"])
     captured = capsys.readouterr()
     assert code == 2
     assert "--journal" in captured.err
@@ -223,18 +234,14 @@ def test_scenarios_run_rejects_name_plus_spec(capsys, tmp_path):
     path = tmp_path / "story.json"
     path.write_text('{"name": "s", "timeline": {"ages": [0.0]}, '
                     '"clauses": [{"kind": "bitflip", "rate": 0.1}]}')
-    code = main(["scenarios", "run", "end-of-life", "--spec", str(path)])
+    code = main(["run", "scenario", "--param", "name=end-of-life",
+                 "--param", f"spec={path}"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "pick one" in captured.err
+    assert "exactly one of" in captured.err
 
 
 # -- registry commands: run / list / describe -----------------------------
-
-TINY_SWEEP = ["--param", "rates=0.0,0.3", "--param", "repeats=1",
-              "--param", "images=60", "--param", "rows=8",
-              "--param", "cols=4"]
-
 
 def test_run_sweep_quick(capsys):
     code, out = run_cli(capsys, "run", "sweep", "--quick")
@@ -366,25 +373,3 @@ def test_describe_roundtrips_to_a_valid_invocation(capsys):
                            if p["name"] == key)
             if default is not None:
                 assert value == default, (name, key)
-
-
-def test_sweep_shim_warns_deprecation(capsys):
-    from repro._compat import reset_legacy_warnings
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="repro sweep"):
-        code = main(["sweep", "--rates", "0.0", "--repeats", "1",
-                     "--images", "40", "--rows", "8", "--cols", "4"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "deprecated" in captured.err
-
-
-def test_scenarios_run_shim_warns_deprecation(capsys):
-    from repro._compat import reset_legacy_warnings
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="repro scenarios run"):
-        code = main(["scenarios", "run", "fresh-device", "--repeats", "1",
-                     "--images", "40", "--rows", "8", "--cols", "4"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "deprecated" in captured.err

@@ -5,6 +5,7 @@ and leave no worker behind when a run fails or is abandoned."""
 import multiprocessing
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -155,10 +156,9 @@ def _worker_pids() -> set[int]:
 
 
 def _left_behind(before: set[int]) -> set[int]:
-    """Workers started since ``before`` still running ~10 s on.
-    ``kill_workers`` SIGKILLs every worker that reported its pid; one
-    still starting up is terminated by the executor as the pool breaks,
-    a moment later."""
+    """Workers started since ``before`` still running ~10 s on (a pool
+    shut down without ``kill_workers`` lets its workers exit on their
+    own, a moment later)."""
     for _ in range(200):
         left = _worker_pids() - before
         if not left:
@@ -194,6 +194,48 @@ def test_abandoned_pool_run_leaves_no_workers(trained_setup):
     assert _worker_pids() - before
     stream.close()  # what an interrupt's stack unwind does to the generator
     assert _left_behind(before) == set()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+def test_kill_workers_kills_workers_still_starting_up(monkeypatch):
+    """A worker that forked but has not reported its pid yet is killed
+    too: ``kill_workers`` waits for every started worker's report."""
+    from repro.core import workerpool
+
+    report = workerpool._report_pid
+
+    def slow_report(pids, initializer, initargs):
+        time.sleep(1.0)
+        report(pids, initializer, initargs)
+
+    # workers fork after the patch, so they inherit it
+    monkeypatch.setattr(workerpool, "_report_pid", slow_report)
+    before = _worker_pids()
+    pool = workerpool.WorkerPool(2, abs, (0,))
+    pool.submit(abs, 0)
+    workers = _worker_pids() - before
+    assert len(workers) == 2
+    pool.kill_workers()
+    assert not [pid for pid in workers if _running(pid)]
+
+
+def test_kill_workers_does_not_wait_for_workers_that_died_unreported(
+        monkeypatch):
+    """Workers that exit before reporting their pid (as the executor
+    terminates a breaking pool's workers) do not hold ``kill_workers``
+    up for its whole report deadline."""
+    from repro.core import workerpool
+
+    def die(pids, initializer, initargs):
+        os._exit(1)
+
+    monkeypatch.setattr(workerpool, "_report_pid", die)
+    pool = workerpool.WorkerPool(2, abs, (0,))
+    with pytest.raises(BrokenProcessPool):
+        pool.submit(abs, 0).result(timeout=30)
+    start = time.perf_counter()
+    pool.kill_workers()
+    assert time.perf_counter() - start < 2.5
 
 
 # -- derived prefix batches -----------------------------------------------

@@ -20,6 +20,13 @@ def _frozen(shape=(4,), seed=0):
     return array
 
 
+def _cached(cache, x):
+    """Whether ``("cols", x)`` has an entry, read without LRU or
+    statistics side effects."""
+    return any(entry[1] == "cols" and entry[2] is x
+               for entry in cache.entries())
+
+
 class _Owner:
     """Stand-in for an evaluator: something a weakref can point at."""
 
@@ -31,8 +38,8 @@ def test_default_budget_keeps_legacy_fifo_bound():
         cache.put("cols", array, array * 2)
     assert len(cache) == _INPUT_CACHE_SLOTS
     # oldest entries evicted first
-    assert cache.peek("cols", arrays[0]) is None
-    assert cache.peek("cols", arrays[-1]) is not None
+    assert not _cached(cache, arrays[0])
+    assert _cached(cache, arrays[-1])
 
 
 def test_configured_owner_holds_more_than_the_legacy_bound():
@@ -44,7 +51,7 @@ def test_configured_owner_holds_more_than_the_legacy_bound():
     for array in arrays:
         cache.put("cols", array, array * 2, owner=owner)
     assert len(cache) == 20
-    assert all(cache.peek("cols", array) is not None for array in arrays)
+    assert all(_cached(cache, array) for array in arrays)
 
 
 def test_byte_cap_evicts_lru_first():
@@ -57,8 +64,8 @@ def test_byte_cap_evicts_lru_first():
     for array in arrays:
         cache.put("cols", array, value.copy(), owner=owner)
     assert len(cache) == 3
-    assert cache.peek("cols", arrays[0]) is None
-    assert cache.peek("cols", arrays[-1]) is not None
+    assert not _cached(cache, arrays[0])
+    assert _cached(cache, arrays[-1])
     assert cache.stats(owner)["bytes"] <= 3 * value.nbytes
 
 
@@ -74,7 +81,7 @@ def test_owners_do_not_evict_each_other():
     # b floods its own budget far beyond a's capacity
     for i in range(20):
         cache.put("cols", _frozen(seed=100 + i), i, owner=b)
-    assert all(cache.peek("cols", array) is not None for array in a_arrays)
+    assert all(_cached(cache, array) for array in a_arrays)
     assert cache.stats(b)["entries"] == 4
 
 
@@ -87,7 +94,6 @@ def test_hit_and_miss_accounting_per_owner():
     assert cache.get("cols", array, owner=owner) is None      # miss
     cache.put("cols", array, "rep", owner=owner)
     assert cache.get("cols", array, owner=owner) == "rep"     # hit
-    cache.peek("cols", array)                                  # not counted
     stats = cache.stats(owner)
     assert (stats["hits"], stats["misses"]) == (1, 1)
     assert stats["hit_rate"] == 0.5

@@ -20,8 +20,8 @@ from pathlib import Path
 from repro.lint import (Baseline, BaselineEntry, EventExhaustiveness,
                         FrozenRecords, LintUsageError, NoGlobalRng,
                         NoSilentExcept, NoUnpicklableSubmit, NoWallClock,
-                        ProtocolDrift, RngTaint, ShmLeakPath,
-                        UnboundedQueue, load_baseline, run_lint)
+                        ProtocolDrift, RngTaint, UnboundedQueue,
+                        load_baseline, run_lint)
 from repro.lint.runner import lint_command
 from repro.lint.runner import main as lint_main
 
@@ -177,65 +177,6 @@ def test_wall_clock_monotonic_banned_elsewhere_in_obs(tmp_path):
             """,
     }, rules=[NoWallClock()])
     assert rule_ids(findings) == ["no-wall-clock"]
-
-
-# -- shm-leak-path ---------------------------------------------------------
-# (path semantics — exceptional-edge leaks, guard kills — are covered in
-# tests/test_lint_flow.py; here: the rule's basic good/bad contract)
-
-def test_shm_bad_returning_only_the_name_string(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def make():
-                shm = shared_memory.SharedMemory(create=True, size=64)
-                return shm.name
-            """,
-    }, rules=[ShmLeakPath()])
-    # shm.name is a string — the block itself never escapes or closes
-    assert rule_ids(findings) == ["shm-leak-path"]
-
-
-def test_shm_good_try_finally_and_registration(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def guarded(size):
-                shm = None
-                try:
-                    shm = shared_memory.SharedMemory(create=True, size=size)
-                    return bytes(shm.buf)
-                finally:
-                    if shm is not None:
-                        shm.close()
-                        shm.unlink()
-
-            def registered(owner, size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                owner.append(shm)
-                return shm
-            """,
-    }, rules=[ShmLeakPath()])
-    assert findings == []
-
-
-def test_shm_good_immediate_registration_in_method(tmp_path):
-    # the old rule exempted SharedPlaneRegistry by class name; the flow
-    # rule needs no exemption — registration on every path is the proof
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            class SharedPlaneRegistry:
-                def publish(self, size):
-                    shm = shared_memory.SharedMemory(create=True, size=size)
-                    self._owned.append(shm)
-                    return shm
-            """,
-    }, rules=[ShmLeakPath()])
-    assert findings == []
 
 
 # -- no-silent-except ------------------------------------------------------
@@ -756,9 +697,8 @@ def test_cli_list_rules_prints_catalog():
     out = io.StringIO()
     assert lint_command([], list_rules=True, stdout=out) == 0
     text = out.getvalue()
-    for rule_id in ("no-global-rng", "no-wall-clock", "shm-leak-path",
-                    "no-silent-except", "frozen-records",
-                    "event-exhaustiveness", "protocol-drift",
+    for rule_id in ("no-global-rng", "no-wall-clock", "no-silent-except",
+                    "frozen-records", "event-exhaustiveness", "protocol-drift",
                     "no-unpicklable-submit", "no-unbounded-queue",
                     "rng-taint", "obs-pickle-boundary", "journal-order"):
         assert rule_id in text
